@@ -52,12 +52,11 @@ bench-fast:
 	$(PYTHON) -m pytest benchmarks/test_fig2_fig3.py \
 	    benchmarks/test_micro.py --benchmark-only
 
-# Evaluation-engine smoke benchmark: verifies the decode-cache/pool
-# engine stays bit-identical to the legacy path, fails on a >20%
-# speedup regression against the committed baseline, and gates the
+# Evaluation-engine smoke benchmark: verifies every engine arm stays
+# bit-identical to the seed oracle evaluator (tests/oracles), fails on a
+# >20% speedup regression against the committed baseline, and gates the
 # async work-stealing arm on mean pool utilisation >= 0.85 at jobs=4;
-# then the PV-DVS kernel microbench (bit-identity + warm-start
-# never-worse gates).
+# then the PV-DVS kernel microbench (bit-identity to the seed loop).
 bench-smoke:
 	$(PYTHON) benchmarks/bench_engine.py --quick --jobs 4 \
 	    --check benchmarks/results/bench_engine_quick_baseline.json \
@@ -73,12 +72,18 @@ serve-smoke:
 # The full pre-merge gate: lint + typecheck (when available), tier-1
 # test suite, the engine smoke benchmark (bit-identity + performance
 # regression check), plus the job-server equivalence smoke.  Runs
-# from a bare checkout — no `make install` needed.
+# from a bare checkout — no `make install` needed.  Ends with a
+# `SKIPPED:` line naming every gate whose tool was missing.
 verify: lint typecheck
 	PYTHONPATH=src $(PYTHON) -m pytest tests/
 	$(PYTHON) benchmarks/bench_engine.py --quick \
 	    --check benchmarks/results/bench_engine_quick_baseline.json
 	PYTHONPATH=src $(PYTHON) -m repro.server.smoke
+	@skipped=""; for tool in ruff mypy; do \
+	    command -v $$tool >/dev/null 2>&1 || \
+	        skipped="$${skipped:+$$skipped, }$$tool (not installed)"; \
+	done; \
+	if [ -n "$$skipped" ]; then echo "SKIPPED: $$skipped"; fi
 
 tables:
 	$(PYTHON) -m repro.cli table1 --runs 5

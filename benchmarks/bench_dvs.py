@@ -1,26 +1,24 @@
-"""PV-DVS kernel microbench: legacy loop vs array kernels vs warm start.
+"""PV-DVS kernel microbench: seed loop vs array kernels.
 
 Times :func:`repro.dvs.pv_dvs.scale_schedule` in isolation — no GA, no
 mode cache — over a fixed-seed corpus of random-mapping schedules per
 instance, so the kernel's own speedup is visible without the engine's
-other phases diluting it.  Three arms per case:
+other phases diluting it.  Two arms per case:
 
 ``legacy``
-    ``vector=False`` — the original object-graph descent loop.
+    The seed implementation's descent loop
+    (``tests/oracles/pv_dvs.py``), which rebuilds its voltage tables
+    per call.
 ``vector``
-    ``vector=True`` — the struct-of-arrays kernels.  Asserted
-    bit-identical to ``legacy`` on every corpus entry before timing.
-``warm``
-    ``vector=True, warm_start=True`` — the analytical continuous
-    relaxation seeding the descent (result changes; never worse final
-    energy, asserted per entry).
+    The production struct-of-arrays kernels.  Asserted bit-identical
+    to ``legacy`` on every corpus entry before timing.
 
 Cases span the paper-scale gradient suite (where fixed per-call
 overhead dominates) and the ``stress1``/``stress2`` tier (200+ tasks
 per mode — where the kernels' asymptotic advantage shows).  Results
 are written to ``benchmarks/results/bench_dvs.json``; ``--quick`` runs
 a two-case smoke subset (used by ``make bench-smoke``) and fails on
-any identity or never-worse violation.
+any identity violation.
 
 Usage::
 
@@ -41,6 +39,7 @@ from typing import Dict, List, Optional, Tuple
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))  # the tests.oracles package
 
 from repro.benchgen import registry  # noqa: E402
 from repro.dvs.pv_dvs import scale_schedule  # noqa: E402
@@ -49,6 +48,7 @@ from repro.mapping.cores import allocate_cores  # noqa: E402
 from repro.mapping.encoding import MappingString  # noqa: E402
 from repro.problem import Problem  # noqa: E402
 from repro.scheduling.list_scheduler import schedule_mode  # noqa: E402
+from tests.oracles.pv_dvs import reference_scale_schedule  # noqa: E402
 
 #: (instance, corpus genomes full, corpus genomes quick)
 CASES: Tuple[Tuple[str, int, int], ...] = (
@@ -59,12 +59,6 @@ CASES: Tuple[Tuple[str, int, int], ...] = (
     ("stress1", 3, 1),
     ("stress2", 2, 0),
 )
-
-#: Relative tolerance of the warm-start never-worse assertion: the
-#: warm descent must not end above the cold descent's final energy
-#: beyond float accumulation noise.
-NEVER_WORSE_RTOL = 1e-12
-
 
 def _corpus(problem: Problem, genomes: int, seed: int):
     """Fixed-seed random-mapping schedules across all modes."""
@@ -96,10 +90,6 @@ def _identical(a, b) -> bool:
     )
 
 
-def _energy(schedule) -> float:
-    return sum(task.energy for task in schedule.tasks)
-
-
 def run_case(
     name: str, genomes: int, seed: int, repeats: int
 ) -> Dict[str, object]:
@@ -108,53 +98,40 @@ def run_case(
     corpus = _corpus(problem, genomes, seed)
 
     identical = True
-    never_worse = True
     for mode, schedule in corpus:
-        legacy = scale_schedule(
-            problem, mode, schedule, context=context, vector=False
-        )
-        vector = scale_schedule(
-            problem, mode, schedule, context=context, vector=True
-        )
+        legacy = reference_scale_schedule(problem, mode, schedule)
+        vector = scale_schedule(problem, mode, schedule, context=context)
         if not _identical(legacy, vector):
             identical = False
-        warm = scale_schedule(
-            problem,
-            mode,
-            schedule,
-            context=context,
-            vector=True,
-            warm_start=True,
-        )
-        if _energy(warm) > _energy(vector) * (1.0 + NEVER_WORSE_RTOL):
-            never_worse = False
 
-    def timed(**kwargs) -> float:
+    def timed(scale) -> float:
         best = math.inf
         for _ in range(max(1, repeats)):
             started = time.perf_counter()
             for mode, schedule in corpus:
-                scale_schedule(
-                    problem, mode, schedule, context=context, **kwargs
-                )
+                scale(mode, schedule)
             elapsed = time.perf_counter() - started
             if elapsed < best:
                 best = elapsed
         return best / len(corpus)
 
-    legacy_us = timed(vector=False) * 1e6
-    vector_us = timed(vector=True) * 1e6
-    warm_us = timed(vector=True, warm_start=True) * 1e6
+    legacy_us = timed(
+        lambda mode, schedule: reference_scale_schedule(
+            problem, mode, schedule
+        )
+    ) * 1e6
+    vector_us = timed(
+        lambda mode, schedule: scale_schedule(
+            problem, mode, schedule, context=context
+        )
+    ) * 1e6
     return {
         "name": name,
         "corpus_calls": len(corpus),
         "identical": identical,
-        "warm_never_worse": never_worse,
         "legacy_us_per_call": round(legacy_us, 2),
         "vector_us_per_call": round(vector_us, 2),
-        "warm_us_per_call": round(warm_us, 2),
         "speedup_vector": round(legacy_us / vector_us, 4),
-        "speedup_warm": round(legacy_us / warm_us, 4),
     }
 
 
@@ -203,9 +180,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"[bench_dvs]   legacy {case['legacy_us_per_call']:.0f}us, "
             f"vector {case['vector_us_per_call']:.0f}us "
             f"({case['speedup_vector']:.2f}x), "
-            f"warm {case['warm_us_per_call']:.0f}us, "
-            f"identical={case['identical']}, "
-            f"never_worse={case['warm_never_worse']}",
+            f"identical={case['identical']}",
             flush=True,
         )
 
@@ -220,7 +195,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 [c["speedup_vector"] for c in cases]
             ),
             "all_identical": all(c["identical"] for c in cases),
-            "warm_never_worse": all(c["warm_never_worse"] for c in cases),
         },
     }
     if args.out is None:
@@ -240,9 +214,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     if not aggregate["all_identical"]:
         print("[bench_dvs] FAIL: vector kernels diverged from legacy")
-        return 1
-    if not aggregate["warm_never_worse"]:
-        print("[bench_dvs] FAIL: warm start ended above the cold start")
         return 1
     return 0
 

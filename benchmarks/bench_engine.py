@@ -1,34 +1,26 @@
-"""Evaluation-engine benchmark: legacy vs caches vs kernels vs pools.
+"""Evaluation-engine benchmark: seed oracle vs production serial vs pools.
 
-Runs the same GA synthesis (same seed, same sizing) under six engine
+Runs the same GA synthesis (same seed, same sizing) under five engine
 configurations and verifies they are *bit-identical* before reporting
 wall-clock speedups:
 
 ``legacy``
-    ``decode_cache=False, mode_cache=False, jobs=1`` — the seed
-    implementation's recompute-per-candidate decode paths (kept
-    verbatim in :mod:`repro.dvs._pv_dvs_reference`), the baseline all
+    ``jobs=1`` with the seed's monolithic recompute-per-candidate
+    evaluator (``tests/oracles/evaluator.py``, which runs the seed
+    PV-DVS loop of ``tests/oracles/pv_dvs.py``) substituted for the
+    production evaluator inside this harness only — the baseline all
     speedups are measured against.
-``engine``
-    ``decode_cache=True, mode_cache=False, jobs=1`` — the shared
-    :class:`~repro.engine.decode_cache.DecodeContext` fast paths,
-    in-process, through the monolithic evaluator.
-``incremental``
-    ``decode_cache=True, mode_cache=True, jobs=1`` — the staged
-    per-mode pipeline (:mod:`repro.eval`) serving clean modes from the
-    bounded :class:`~repro.eval.cache.ModeResultCache` (emptied before
-    every timed run, so the measured advantage is purely intra-run).
 ``vector``
-    ``incremental`` plus ``vector_dvs=True`` — the struct-of-arrays
-    PV-DVS kernels (:mod:`repro.dvs._kernels`) replacing the legacy
-    object-graph descent loop inside the same pipeline.  The earlier
-    arms pin ``vector_dvs=False`` so their semantics (and timings)
-    stay comparable across report generations.
-``engine+pool``
-    ``decode_cache=True, mode_cache=True, jobs=N, async_pool=False`` —
-    the incremental pipeline with each generation's unique uncached
-    genomes dispatched to the per-generation *barrier* pool
-    (``vector_dvs=False``, like ``incremental``).
+    ``jobs=1`` — the production evaluation path: the staged per-mode
+    pipeline (:mod:`repro.eval`) over the shared
+    :class:`~repro.engine.decode_cache.DecodeContext`, serving clean
+    modes from the bounded :class:`~repro.eval.cache.ModeResultCache`
+    (emptied before every timed run, so the measured advantage is
+    purely intra-run) with the struct-of-arrays PV-DVS kernels.
+``pool``
+    ``jobs=N, async_pool=False`` — the production path with each
+    generation's unique uncached genomes dispatched to the
+    per-generation *barrier* pool.
 ``async``
     ``vector`` plus ``jobs=N, async_pool=True`` — the work-stealing
     asynchronous pool (:mod:`repro.engine.async_pool`): workers pull
@@ -50,7 +42,7 @@ The *headline* cases run the gradient PV-DVS inner loop — the paper's
 proposed technique and by far the hottest decode phase; no-DVS cases
 are reported as a secondary (smaller) aggregate.  Results are written
 to ``BENCH_engine.json`` together with each case's mode-cache hit rate
-and the ``incremental``-over-``engine`` speedup; ``--check BASELINE``
+and the ``vector``-over-``legacy`` speedup; ``--check BASELINE``
 compares the headline speedup against a committed baseline and fails
 on a >20 % regression (speedup ratios are machine-relative, so the
 check is portable).
@@ -77,6 +69,7 @@ from typing import Dict, List, Optional
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))  # the tests.oracles package
 
 from repro.benchgen.multimode import (  # noqa: E402
     MultiModeSpec,
@@ -90,6 +83,10 @@ from repro.synthesis.cosynthesis import (  # noqa: E402
     MultiModeSynthesizer,
     SynthesisResult,
 )
+from tests.oracles.evaluator import substituted  # noqa: E402
+
+#: The arm timed with the seed oracle evaluator substituted.
+LEGACY = "legacy"
 
 
 #: Denser-than-suite instances for the pool arms: more queue depth and
@@ -136,14 +133,19 @@ def _base_config(dvs: DvsMethod, seed: int, quick: bool) -> SynthesisConfig:
     )
 
 
-def _run_once(problem: Problem, config: SynthesisConfig) -> SynthesisResult:
+def _run_once(
+    problem: Problem, config: SynthesisConfig, oracle: bool
+) -> SynthesisResult:
     # All configurations share one Problem (and thus its memoised
     # per-mode result cache); start every timed run cold so the
-    # incremental arm's advantage is intra-run, not leftovers from the
-    # previous arm or repeat.
+    # production arms' cache advantage is intra-run, not leftovers
+    # from the previous arm or repeat.
     cache = getattr(problem, "_mode_result_cache", None)
     if cache is not None:
         cache.clear()
+    if oracle:
+        with substituted():
+            return MultiModeSynthesizer(problem, config).run()
     return MultiModeSynthesizer(problem, config).run()
 
 
@@ -163,7 +165,7 @@ def _timed_interleaved(
     for _ in range(max(1, repeats)):
         for key, config in configs.items():
             started = time.perf_counter()
-            results[key] = _run_once(problem, config)
+            results[key] = _run_once(problem, config, key == LEGACY)
             elapsed = time.perf_counter() - started
             if elapsed < times[key]:
                 times[key] = elapsed
@@ -185,83 +187,46 @@ def run_case(
     times, results = _timed_interleaved(
         problem,
         {
-            "legacy": base.with_updates(
-                decode_cache=False, mode_cache=False, jobs=1,
-                vector_dvs=False,
-            ),
-            "serial": base.with_updates(
-                decode_cache=True, mode_cache=False, jobs=1,
-                vector_dvs=False,
-            ),
-            "incremental": base.with_updates(
-                decode_cache=True, mode_cache=True, jobs=1,
-                vector_dvs=False,
-            ),
-            "vector": base.with_updates(
-                decode_cache=True, mode_cache=True, jobs=1,
-                vector_dvs=True,
-            ),
+            LEGACY: base.with_updates(jobs=1),
+            "vector": base.with_updates(jobs=1),
             "pool": base.with_updates(
-                decode_cache=True, mode_cache=True, jobs=jobs,
-                vector_dvs=False, async_pool=False, speculative=False,
+                jobs=jobs, async_pool=False, speculative=False
             ),
             "async": base.with_updates(
-                decode_cache=True, mode_cache=True, jobs=jobs,
-                vector_dvs=True, async_pool=True, speculative=False,
+                jobs=jobs, async_pool=True, speculative=False
             ),
             "speculative": base.with_updates(
-                decode_cache=True, mode_cache=True, jobs=jobs,
-                vector_dvs=True, async_pool=True, speculative=True,
+                jobs=jobs, async_pool=True, speculative=True
             ),
         },
         repeats,
     )
-    legacy_s, serial_s, incremental_s, vector_s, pool_s, async_s = (
-        times["legacy"],
-        times["serial"],
-        times["incremental"],
+    legacy_s, vector_s, pool_s, async_s, spec_s = (
+        times[LEGACY],
         times["vector"],
         times["pool"],
         times["async"],
+        times["speculative"],
     )
-    spec_s = times["speculative"]
-    legacy, serial, incremental, vectored, pooled, asynced = (
-        results["legacy"],
-        results["serial"],
-        results["incremental"],
+    legacy, vectored, pooled, asynced, speculated = (
+        results[LEGACY],
         results["vector"],
         results["pool"],
         results["async"],
+        results["speculative"],
     )
-    speculated = results["speculative"]
 
-    identical = (
-        legacy.best.metrics.fitness
-        == serial.best.metrics.fitness
-        == incremental.best.metrics.fitness
-        == vectored.best.metrics.fitness
-        == pooled.best.metrics.fitness
-        == asynced.best.metrics.fitness
-        == speculated.best.metrics.fitness
-        and legacy.history
-        == serial.history
-        == incremental.history
-        == vectored.history
-        == pooled.history
-        == asynced.history
-        == speculated.history
-        and legacy.evaluations
-        == serial.evaluations
-        == incremental.evaluations
-        == vectored.evaluations
-        == pooled.evaluations
-        == asynced.evaluations
-        == speculated.evaluations
+    arms = (vectored, pooled, asynced, speculated)
+    identical = all(
+        arm.best.metrics.fitness == legacy.best.metrics.fitness
+        and arm.history == legacy.history
+        and arm.evaluations == legacy.evaluations
+        for arm in arms
     )
     perf = pooled.perf
     async_perf = asynced.perf
     spec_perf = speculated.perf
-    inc_perf = incremental.perf
+    vector_perf = vectored.perf
     case: Dict[str, object] = {
         "name": name,
         "dvs": dvs.value,
@@ -270,20 +235,9 @@ def run_case(
         "best_fitness": legacy.best.metrics.fitness,
         "evaluations": legacy.evaluations,
         "legacy_seconds": round(legacy_s, 4),
-        "engine_serial_seconds": round(serial_s, 4),
-        "engine_incremental_seconds": round(incremental_s, 4),
         "engine_vector_seconds": round(vector_s, 4),
         "engine_parallel_seconds": round(pool_s, 4),
-        "speedup_serial": round(legacy_s / serial_s, 4),
-        # Incremental pipeline vs the monolithic cached path, both at
-        # jobs=1 — the mode-result cache's own contribution.
-        "speedup_incremental": round(serial_s / incremental_s, 4),
-        "speedup_incremental_vs_legacy": round(legacy_s / incremental_s, 4),
-        # Array PV-DVS kernels vs the object-graph loop, both through
-        # the incremental pipeline at jobs=1 — the kernels' engine-level
-        # contribution (diluted by the non-dvs phases; see bench_dvs.py
-        # for the kernels in isolation).
-        "speedup_vector": round(incremental_s / vector_s, 4),
+        # The production serial path vs the seed oracle, both at jobs=1.
         "speedup_vector_vs_legacy": round(legacy_s / vector_s, 4),
         "speedup_parallel": round(legacy_s / pool_s, 4),
         "engine_async_seconds": round(async_s, 4),
@@ -330,15 +284,15 @@ def run_case(
             else None
         ),
         "mode_cache_hit_rate": (
-            round(inc_perf.mode_cache_hit_rate, 4)
-            if inc_perf is not None
+            round(vector_perf.mode_cache_hit_rate, 4)
+            if vector_perf is not None
             else None
         ),
         "mode_cache_hits": (
-            inc_perf.mode_cache_hits if inc_perf is not None else None
+            vector_perf.mode_cache_hits if vector_perf is not None else None
         ),
         "mode_cache_misses": (
-            inc_perf.mode_cache_misses if inc_perf is not None else None
+            vector_perf.mode_cache_misses if vector_perf is not None else None
         ),
         "perf_parallel": perf.to_dict() if perf is not None else None,
         "perf_async": (
@@ -391,13 +345,9 @@ def build_report(args: argparse.Namespace) -> Dict[str, object]:
         cases.append(case)
         print(
             f"[bench_engine]   legacy {case['legacy_seconds']:.2f}s, "
-            f"engine {case['engine_serial_seconds']:.2f}s "
-            f"({case['speedup_serial']:.2f}x), "
-            f"incremental {case['engine_incremental_seconds']:.2f}s "
-            f"({case['speedup_incremental']:.2f}x vs engine, "
-            f"hit rate {case['mode_cache_hit_rate']}), "
             f"vector {case['engine_vector_seconds']:.2f}s "
-            f"({case['speedup_vector']:.2f}x vs incremental), "
+            f"({case['speedup_vector_vs_legacy']:.2f}x, "
+            f"hit rate {case['mode_cache_hit_rate']}), "
             f"engine+pool {case['engine_parallel_seconds']:.2f}s "
             f"({case['speedup_parallel']:.2f}x), "
             f"async {case['engine_async_seconds']:.2f}s "
@@ -416,11 +366,9 @@ def build_report(args: argparse.Namespace) -> Dict[str, object]:
     headline_parallel = [
         c["speedup_parallel"] for c in cases if c["headline"]
     ]
-    headline_serial = [c["speedup_serial"] for c in cases if c["headline"]]
-    headline_incremental = [
-        c["speedup_incremental"] for c in cases if c["headline"]
+    headline_vector = [
+        c["speedup_vector_vs_legacy"] for c in cases if c["headline"]
     ]
-    headline_vector = [c["speedup_vector"] for c in cases if c["headline"]]
     headline_async = [c["speedup_async"] for c in cases if c["headline"]]
     headline_speculative = [
         c["speedup_speculative"] for c in cases if c["headline"]
@@ -445,11 +393,9 @@ def build_report(args: argparse.Namespace) -> Dict[str, object]:
     ]
     aggregate = {
         "headline_geomean_speedup_parallel": _geomean(headline_parallel),
-        "headline_geomean_speedup_serial": _geomean(headline_serial),
-        "headline_geomean_speedup_incremental": _geomean(
-            headline_incremental
+        "headline_geomean_speedup_vector_vs_legacy": _geomean(
+            headline_vector
         ),
-        "headline_geomean_speedup_vector": _geomean(headline_vector),
         "headline_geomean_speedup_async": _geomean(headline_async),
         "all_geomean_speedup_parallel": _geomean(
             [c["speedup_parallel"] for c in cases]
@@ -628,12 +574,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(
         f"[bench_engine] headline geomean: "
         f"{agg['headline_geomean_speedup_parallel']:.2f}x (pool), "
-        f"{agg['headline_geomean_speedup_serial']:.2f}x (serial engine), "
-        f"{agg['headline_geomean_speedup_incremental']:.2f}x "
-        f"(incremental vs engine, mean hit rate "
+        f"{agg['headline_geomean_speedup_vector_vs_legacy']:.2f}x "
+        f"(serial production path, mean hit rate "
         f"{agg['headline_mean_mode_cache_hit_rate']:.2f}), "
-        f"{agg['headline_geomean_speedup_vector']:.2f}x "
-        f"(vector kernels vs incremental), "
         f"{agg['headline_geomean_speedup_async']:.2f}x "
         f"(async pool vs vector, mean utilisation "
         f"{agg['mean_async_pool_utilisation']}), "

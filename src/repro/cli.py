@@ -70,9 +70,6 @@ def _config_from_args(args: argparse.Namespace) -> SynthesisConfig:
         convergence_generations=args.convergence,
         jobs=getattr(args, "jobs", 1),
         async_pool=not getattr(args, "no_async_pool", False),
-        mode_cache=not getattr(args, "no_mode_cache", False),
-        vector_dvs=not getattr(args, "no_vector_dvs", False),
-        dvs_warm_start=getattr(args, "dvs_warm_start", False),
         speculative=not getattr(args, "no_speculation", False),
         speculation_depth=getattr(args, "speculation_depth", 1),
         seed=args.seed,
@@ -114,24 +111,6 @@ def _add_ga_options(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--no-mode-cache",
-        action="store_true",
-        help=(
-            "evaluate through the monolithic legacy path instead of "
-            "the incremental per-mode pipeline (ablation; results are "
-            "bit-identical either way)"
-        ),
-    )
-    parser.add_argument(
-        "--no-vector-dvs",
-        action="store_true",
-        help=(
-            "run the PV-DVS descent through the legacy object-graph "
-            "loop instead of the array kernels (ablation; results are "
-            "bit-identical either way)"
-        ),
-    )
-    parser.add_argument(
         "--no-speculation",
         action="store_true",
         help=(
@@ -149,15 +128,6 @@ def _add_ga_options(parser: argparse.ArgumentParser) -> None:
             "speculation look-ahead: 1 dispatches only the exactly "
             "predicted next batch, deeper levels add heuristic probe "
             "mutations as pool filler and cache warmers"
-        ),
-    )
-    parser.add_argument(
-        "--dvs-warm-start",
-        action="store_true",
-        help=(
-            "seed the vectorised PV-DVS descent with the analytical "
-            "continuous-relaxation warm start (changes the descent "
-            "path; final energy never worse on the fuzz corpus)"
         ),
     )
 

@@ -1,16 +1,18 @@
-"""Struct-of-arrays PV-DVS kernels (the fast gradient-descent path).
+"""Struct-of-arrays PV-DVS kernels (the one voltage-selection path).
 
-This module is the performance twin of the object-graph descent kept in
-:mod:`repro.dvs.pv_dvs` (the ``vector_dvs=False`` ablation oracle).  It
-produces bit-identical schedules while restructuring every phase of the
-``scale_schedule`` pipeline around flat arrays:
+:mod:`repro.dvs.pv_dvs` is the public facade over this module.  Both
+voltage-selection methods — the energy-gradient descent and the
+uniform-stretch baseline — run on one :class:`_VectorGraph`, and both
+are bit-identical to the frozen seed implementation kept under
+``tests/oracles/pv_dvs.py`` as the differential oracle.  Every phase is
+restructured around flat arrays:
 
 * **Construction** builds a :class:`_VectorGraph` — parallel arrays of
   duration/energy tables, current levels, deadlines and integer
   adjacency — in one fused pass over the schedule, with no per-node
   objects, no string keys and a single grouping of tasks/comms by
   resource shared between the DVS graph and the replay graph.
-* **Selection** replaces the legacy per-move scan over all scalable
+* **Selection** replaces the seed's per-move scan over all scalable
   nodes with a heap ordered by ``(-saved/extra, -saved, position)``.
   During the descent a node's earliest start only ever increases and
   its latest finish only ever decreases (durations are monotonically
@@ -19,34 +21,18 @@ produces bit-identical schedules while restructuring every phase of the
   exactly the accept sequence the scan produces, including its
   first-position tie-break.
 * **Timing maintenance** batches cone updates: accepted stretches are
-  queued, and ancestor/descendant bitsets (one machine-word-parallel
-  big integer per node) tell in O(1) whether a popped candidate's
-  ``est``/``lft`` could be stale.  Only then is the queue flushed — all
-  pending stretches propagate in *one* rank-ordered wave per direction,
-  recomputing exactly the legacy per-node formulas (``max`` over
-  predecessor finishes, ``min`` over successor latest starts, both
-  exact on floats), so the arrays stay bit-identical to a full
-  recompute.
+  queued and only flushed when a popped candidate's slack could be
+  stale.  A flush propagates all pending stretches in *one*
+  rank-ordered wave per direction, recomputing exactly the seed's
+  per-node formulas (``max`` over predecessor finishes, ``min`` over
+  successor latest starts, both exact on floats), so the arrays stay
+  bit-identical to a full recompute.
 * **Emission** rebuilds :class:`~repro.scheduling.schedule.ScheduledTask`
   / ``ScheduledComm`` instances through ``__new__`` fast constructors:
   every emitted value satisfies the dataclass invariants by
   construction (ends are ``start + non-negative duration``, energies
   are non-negative), so re-validating each of them on the hot path
   would only re-derive known facts.
-
-The optional *analytical warm start* (``warm_start=True``) seeds the
-descent from the closed-form continuous voltage relaxation: per node,
-the total float ``slack_i = lft_i − est_i − d_i`` is the minimum slack
-over all paths through the node, and ``W_i`` (a longest-path DP) is the
-maximum scalable work over those paths, so stretching every scalable
-node by its own factor ``1 + slack_i / W_i`` keeps every path within
-its deadline in the continuous domain.  Levels are snapped *up* (toward
-nominal voltage) to the discrete grid, a verification pass guards the
-snap against accumulated rounding, and the ordinary descent then
-distributes the remaining slack.  The warm start changes the descent
-trajectory, hence it is config-gated and excluded from bit-identity
-checks; the fuzz suite asserts it never ends with more energy than the
-cold descent.
 """
 
 from __future__ import annotations
@@ -56,12 +42,9 @@ from heapq import heapify, heappop, heappush
 from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.decode_cache import DecodeContext
     from repro.engine.profile import PhaseProfiler
-    from repro.obs.metrics import MetricsRegistry
 from repro.errors import VoltageScalingError
 from repro.problem import Problem
 from repro.scheduling.schedule import (
@@ -73,7 +56,6 @@ from repro.scheduling.schedule import (
 from repro.specification.mode import Mode
 
 #: Relative numerical guard when comparing slack against extensions.
-#: (Single definition; the legacy loop imports it from here.)
 _SLACK_EPS = 1e-12
 
 _INF = math.inf
@@ -84,36 +66,15 @@ _TASK_ORDER = attrgetter("start", "name")
 _COMM_ORDER = attrgetter("start", "key")
 _START_ORDER = attrgetter("start")
 
-#: Damping of the analytical warm start's continuous stretch factors.
-#: The relaxation is deadline-exact but energy-blind: committing the
-#: full continuous stretch can strand level budget on low-gradient
-#: nodes the discrete descent would rather give to high-gradient ones
-#: (undamped, ~8 % of fuzz cases end above the cold start, by up to
-#: 10 %).  The safe damping shrinks with graph depth: 0.25 is clean on
-#: the paper-scale corpus but still loses up to 0.9 % on the 200+-task
-#: stress tier, where violations only vanish at 0.15 and below.
-#: Committing a tenth of the continuous stretch leaves the end-game to
-#: the exact gradient descent, which then never finishes above the
-#: cold start on any fuzz/bench corpus (see tests/dvs and
-#: benchmarks/bench_dvs.py).
-_WARM_DAMPING = 0.1
-
-#: Below this many scalable nodes the warm start's stretch factors are
-#: computed with plain Python loops — identical IEEE operations, but
-#: without per-call numpy dispatch overhead, which dominates on the
-#: 30–60-node graphs of the paper's benchmarks.
-_WARM_NUMPY_MIN = 64
-
 #: Table type of one scalable node: per-level durations or energies,
 #: ascending voltage (index ``len-1`` is nominal).
 _Table = Tuple[float, ...]
 
-# The profiler and metrics singletons live behind the engine/obs
-# package inits, which transitively import this module — bind them on
-# first use instead of at import time (same bind-once semantics as the
-# top-level imports the rest of the codebase uses).
+# The profiler singleton lives behind the engine package init, which
+# transitively imports this module — bind it on first use instead of
+# at import time (same bind-once semantics as the top-level imports
+# the rest of the codebase uses).
 _PROFILER: Optional["PhaseProfiler"] = None
-_REGISTRY: Optional["MetricsRegistry"] = None
 
 
 def _profiler() -> "PhaseProfiler":
@@ -125,23 +86,13 @@ def _profiler() -> "PhaseProfiler":
     return _PROFILER
 
 
-def _registry() -> "MetricsRegistry":
-    global _REGISTRY
-    if _REGISTRY is None:
-        from repro.obs.metrics import REGISTRY
-
-        _REGISTRY = REGISTRY
-    return _REGISTRY
-
-
 class _VectorGraph:
     """Order-augmented DAG as parallel arrays (struct-of-arrays).
 
-    One instance is built per ``scale_schedule`` call and carries both
-    the descent state (levels, current durations, est/lft arrays) and
-    the back-mapping indices (task/segment/comm positions).  Adjacency
-    is integer list-of-lists — the cone walks index it directly — plus
-    per-node ancestor/descendant bitsets for O(1) staleness tests.
+    One instance is built per voltage-selection call and carries both
+    the level state (levels, current durations, est/lft arrays) and the
+    back-mapping indices (task/segment/comm positions).  Adjacency is
+    integer list-of-lists — the cone walks index it directly.
     """
 
     __slots__ = (
@@ -431,7 +382,7 @@ def _build_vector_graph(
                 edges.append((chain_prev, position))
             chain_prev = position
             position += 1
-        # Transformation invariants (the legacy path checks them via
+        # Transformation invariants (the seed path checks them via
         # transform._check_equivalence; same tolerances here).
         scale = task_energy if task_energy > 1.0 else 1.0
         if abs(task_energy - segment_energy) > 1e-9 * scale:
@@ -557,7 +508,7 @@ def _build_vector_graph(
                     )
                 prev_i = nxt_i
 
-    # --- freeze: adjacency, topological order, reachability bitsets ----
+    # --- freeze: adjacency, topological order --------------------------
     size = position
     graph.size = size
     graph.scalable_flags = flags = bytearray(size)
@@ -737,7 +688,7 @@ def _flush_backward(graph: _VectorGraph, sources: List[int]) -> None:
 def _descent(graph: _VectorGraph, need_final_est: bool) -> None:
     """Greedy energy-gradient descent over the array representation.
 
-    Equivalent to the legacy scan loop (see the module docstring for
+    Equivalent to the seed's scan loop (see the module docstring for
     the monotone-slack argument): the heap pops moves in exactly the
     scan's accept order.  The timing arrays are allowed to go stale
     across accepts; every pop is decided against a two-sided bound
@@ -759,7 +710,7 @@ def _descent(graph: _VectorGraph, need_final_est: bool) -> None:
     stale slack — the tight end-game) pays for a flush, which replays
     all queued stretches in one rank-ordered wave per direction and
     re-tests exactly.  Accept decisions therefore match the
-    always-exact legacy loop bit for bit.
+    always-exact seed loop bit for bit.
 
     ``need_final_est`` requests one last forward flush so ``est`` is
     exact on return (the direct-emission path reads it; the replay
@@ -844,153 +795,6 @@ def _descent(graph: _VectorGraph, need_final_est: bool) -> None:
     # The backward arrays are not read after the descent, and the
     # replay path recomputes start times itself — leave whatever flush
     # is not needed unapplied.
-
-
-# ----------------------------------------------------------------------
-# Analytical warm start
-# ----------------------------------------------------------------------
-
-
-def _warm_start(graph: _VectorGraph, mode_name: str) -> None:
-    """Closed-form continuous relaxation + conservative discrete snap.
-
-    Requires nominal ``est``/``lft`` arrays (computed by the caller).
-    On success levels are lowered and the timing arrays refreshed; on
-    any guard failure the graph is left exactly as found.  Counters:
-    ``dvs_warm_start_applied_total`` / ``dvs_warm_start_skipped_total``
-    (labelled with the skip reason) and the per-node
-    ``dvs_warm_start_snap_levels`` histogram of snapped level drops.
-    """
-    scalable = graph.scalable
-    if not scalable:
-        _registry().inc(
-            "dvs_warm_start_skipped_total",
-            mode=mode_name,
-            reason="no_scalable",
-        )
-        return
-    level = graph.level
-    durations = graph.durations
-    dur_tables = graph.dur_tables
-    est = graph.est
-    lft = graph.lft
-    preds = graph.preds
-    succs = graph.succs
-    flags = graph.scalable_flags
-
-    # Longest-path DP of scalable work through every node:
-    # W_i = max over paths p ∋ i of the scalable duration on p.
-    size = graph.size
-    work_in = [0.0] * size
-    for pos in graph.topo:
-        best = 0.0
-        for prev in preds[pos]:
-            candidate = work_in[prev]
-            if candidate > best:
-                best = candidate
-        work_in[pos] = best + (durations[pos] if flags[pos] else 0.0)
-    work_out = [0.0] * size
-    for pos in reversed(graph.topo):
-        best = 0.0
-        for nxt in succs[pos]:
-            candidate = work_out[nxt]
-            if candidate > best:
-                best = candidate
-        work_out[pos] = best + (durations[pos] if flags[pos] else 0.0)
-
-    # Vectorised per-node stretch factors over the scalable subset:
-    # slack_i is the minimum slack over paths through i, W_i the
-    # maximum scalable work, so t_i = d_i · (1 + slack_i / W_i) keeps
-    # every path inside its deadline in the continuous relaxation.
-    if len(scalable) >= _WARM_NUMPY_MIN:
-        index = np.asarray(scalable, dtype=np.intp)
-        dur = np.asarray(durations, dtype=np.float64)[index]
-        slack = (
-            np.asarray(lft, dtype=np.float64)[index]
-            - np.asarray(est, dtype=np.float64)[index]
-            - dur
-        )
-        work = (
-            np.asarray(work_in, dtype=np.float64)[index]
-            + np.asarray(work_out, dtype=np.float64)[index]
-            - dur
-        )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(
-                (slack > 0.0) & (work > 0.0), slack / work, 0.0
-            )
-        targets: Sequence[float] = dur * (1.0 + _WARM_DAMPING * ratio)
-    else:
-        # Same IEEE operations as the array path, loop-form: numpy's
-        # per-call dispatch outweighs its throughput on small graphs.
-        scalar_targets = []
-        for pos in scalable:
-            d = durations[pos]
-            s = lft[pos] - est[pos] - d
-            w = work_in[pos] + work_out[pos] - d
-            if s > 0.0 and w > 0.0:
-                scalar_targets.append(d * (1.0 + _WARM_DAMPING * (s / w)))
-            else:
-                scalar_targets.append(d)
-        targets = scalar_targets
-
-    saved_levels: List[Tuple[int, int]] = []
-    drops: List[int] = []
-    for ordinal, pos in enumerate(scalable):
-        target = targets[ordinal]
-        current = level[pos]
-        if current == 0:
-            continue
-        dur_t = dur_tables[pos]
-        assert dur_t is not None
-        snapped = current
-        for idx in range(current):
-            if dur_t[idx] <= target:
-                snapped = idx
-                break
-        if snapped < current:
-            saved_levels.append((pos, current))
-            drops.append(current - snapped)
-            level[pos] = snapped
-            durations[pos] = dur_t[snapped]
-    if not saved_levels:
-        _registry().inc(
-            "dvs_warm_start_skipped_total",
-            mode=mode_name,
-            reason="no_slack",
-        )
-        return
-
-    # Guard: the continuous bound is exact in real arithmetic; float
-    # accumulation along long paths could still overshoot a deadline by
-    # rounding.  Verify with one forward pass and revert wholesale if
-    # any deadline breaks.
-    _forward_full(graph)
-    finish = graph.finish
-    deadlines = graph.deadlines
-    feasible = True
-    for pos in range(size):
-        if finish[pos] > deadlines[pos] + TIME_EPS:
-            feasible = False
-            break
-    if not feasible:
-        for pos, previous in saved_levels:
-            level[pos] = previous
-            dur_t = dur_tables[pos]
-            assert dur_t is not None
-            durations[pos] = dur_t[previous]
-        _forward_full(graph)
-        _registry().inc(
-            "dvs_warm_start_skipped_total",
-            mode=mode_name,
-            reason="infeasible",
-        )
-        return
-    _registry().inc("dvs_warm_start_applied_total", mode=mode_name)
-    for dropped in drops:
-        _registry().observe(
-            "dvs_warm_start_snap_levels", float(dropped), mode=mode_name
-        )
 
 
 # ----------------------------------------------------------------------
@@ -1246,14 +1050,8 @@ def vector_scale_schedule(
     schedule: ModeSchedule,
     shared_rail: bool = True,
     context: Optional["DecodeContext"] = None,
-    warm_start: bool = False,
 ) -> ModeSchedule:
-    """Array-kernel PV-DVS descent; bit-identical to the legacy loop.
-
-    With ``warm_start=True`` the descent starts from the analytical
-    continuous-relaxation snap instead of nominal voltage — a different
-    (config-gated) trajectory; see the module docstring.
-    """
+    """Array-kernel PV-DVS energy-gradient descent."""
     if context is None:
         from repro.engine.decode_cache import context_for
 
@@ -1264,12 +1062,72 @@ def vector_scale_schedule(
         )
         _forward_full(graph)
         _backward_full(graph)
-        if warm_start:
-            _warm_start(graph, mode.name)
-            _backward_full(graph)
         _descent(graph, need_final_est=replay is None)
         if replay is None:
             return _emit_direct(mode, schedule, graph)
         return _rebuild_replay(
             problem, mode, schedule, graph, replay, context
         )
+
+
+def vector_uniform_scale_schedule(
+    problem: Problem,
+    mode: Mode,
+    schedule: ModeSchedule,
+    context: Optional["DecodeContext"] = None,
+) -> ModeSchedule:
+    """Uniform-stretch baseline on the array graph (shared rails).
+
+    Each bisection step sets every scalable node to the lowest level
+    whose duration fits ``nominal × κ`` and checks all deadlines with
+    one full forward pass — the same floats and comparisons as the seed
+    loop, so the chosen ``κ`` and the emitted schedule are identical.
+    """
+    if context is None:
+        from repro.engine.decode_cache import context_for
+
+        context = context_for(problem)
+    graph, replay = _build_vector_graph(
+        problem, mode, schedule, True, context
+    )
+    dur_tables = graph.dur_tables
+    level = graph.level
+    durations = graph.durations
+    deadlines = graph.deadlines
+    scalable = graph.scalable
+
+    def apply_factor(kappa: float) -> None:
+        for pos in scalable:
+            dur_t = dur_tables[pos]
+            assert dur_t is not None
+            budget = dur_t[-1] * kappa
+            chosen = len(dur_t) - 1
+            for index, duration in enumerate(dur_t):
+                if duration <= budget + TIME_EPS:
+                    chosen = index
+                    break
+            level[pos] = chosen
+            durations[pos] = dur_t[chosen]
+        _forward_full(graph)
+
+    def feasible() -> bool:
+        finish = graph.finish
+        for pos in range(graph.size):
+            if finish[pos] > deadlines[pos] + TIME_EPS:
+                return False
+        return True
+
+    apply_factor(1.0)
+    if feasible():
+        low, high = 1.0, 64.0
+        for _ in range(40):
+            mid = (low + high) / 2
+            apply_factor(mid)
+            if feasible():
+                low = mid
+            else:
+                high = mid
+        apply_factor(low)
+    if replay is None:
+        return _emit_direct(mode, schedule, graph)
+    return _rebuild_replay(problem, mode, schedule, graph, replay, context)

@@ -23,329 +23,25 @@ real tasks (a hardware task accumulates the stretched portions of every
 segment it spans, possibly at different voltages) and the mode is
 *replayed*: a forward pass over the order-augmented task-level DAG
 rebuilds a consistent non-preemptive schedule with the new durations.
+
+This module is the public facade; the implementation is the
+struct-of-arrays kernels of :mod:`repro.dvs._kernels`.
 """
 
 from __future__ import annotations
 
-import math
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
-from repro.errors import VoltageScalingError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.architecture.processing_element import ProcessingElement
-    from repro.engine.decode_cache import DecodeContext
-from repro.dvs.transform import VirtualSegment, transform_parallel_tasks
-from repro.dvs.voltage import duration_energy_tables, scaled_duration, scaled_energy
-from repro.problem import Problem
-from repro.scheduling.schedule import (
-    TIME_EPS,
-    ModeSchedule,
-    ScheduledComm,
-    ScheduledTask,
+from repro.dvs._kernels import (
+    vector_scale_schedule,
+    vector_uniform_scale_schedule,
 )
+from repro.problem import Problem
+from repro.scheduling.schedule import ModeSchedule
 from repro.specification.mode import Mode
 
-# Single definition of the slack guard lives with the array kernels;
-# both descent implementations must compare against the same epsilon.
-from repro.dvs._kernels import _SLACK_EPS, vector_scale_schedule
-
-
-class _Node:
-    """One node of the DVS graph (task, communication or segment)."""
-
-    __slots__ = (
-        "key",
-        "durations",
-        "energies",
-        "level",
-        "deadline",
-        "scalable",
-        "levels",
-    )
-
-    def __init__(
-        self,
-        key: str,
-        durations: Tuple[float, ...],
-        energies: Tuple[float, ...],
-        level: int,
-        deadline: float,
-        scalable: bool,
-        levels: Tuple[float, ...] = (),
-    ) -> None:
-        self.key = key
-        self.durations = durations
-        self.energies = energies
-        self.level = level
-        self.deadline = deadline
-        self.scalable = scalable
-        self.levels = levels
-
-    @property
-    def duration(self) -> float:
-        return self.durations[self.level]
-
-    @property
-    def energy(self) -> float:
-        return self.energies[self.level]
-
-    def lowering(self) -> Optional[Tuple[float, float]]:
-        """(extra time, saved energy) of dropping one level, if any."""
-        if not self.scalable or self.level == 0:
-            return None
-        extra = self.durations[self.level - 1] - self.durations[self.level]
-        saved = self.energies[self.level] - self.energies[self.level - 1]
-        return extra, saved
-
-
-class _DvsGraph:
-    """The order-augmented DAG with per-node voltage levels.
-
-    Nodes and adjacency are integer-indexed lists (creation order); the
-    gradient descent keeps earliest starts and latest finishes current
-    across accepted moves via :meth:`stretch_node`, so the timing
-    passes must be tight loops over plain floats rather than dict
-    lookups.  All longest-path values are ``max``/``min`` accumulations,
-    which are exact and order-independent on floats, so results do not
-    depend on adjacency or topological-order details.
-    """
-
-    __slots__ = (
-        "nodes",
-        "index",
-        "preds",
-        "succs",
-        "topo",
-        "topo_rank",
-        "pending",
-        "durations",
-        "deadlines",
-        "scalable_indices",
-        "task_nodes",
-        "comm_nodes",
-    )
-
-    def __init__(self) -> None:
-        self.nodes: List[_Node] = []
-        self.index: Dict[str, int] = {}
-        self.preds: List[List[int]] = []
-        self.succs: List[List[int]] = []
-        # Activity-level indices, filled by _build_dvs_graph: task name
-        # -> node position (absent for tasks folded into segments) and
-        # (src, dst) -> communication node position.
-        self.task_nodes: Dict[str, int] = {}
-        self.comm_nodes: Dict[Tuple[str, str], int] = {}
-
-    def add_node(self, node: _Node) -> int:
-        if node.key in self.index:
-            raise VoltageScalingError(f"duplicate DVS node {node.key!r}")
-        position = len(self.nodes)
-        self.index[node.key] = position
-        self.nodes.append(node)
-        self.preds.append([])
-        self.succs.append([])
-        return position
-
-    def add_edge(self, src: int, dst: int) -> None:
-        if src == dst:
-            return
-        succs = self.succs[src]
-        if dst not in succs:
-            succs.append(dst)
-            self.preds[dst].append(src)
-
-    def node(self, key: str) -> _Node:
-        return self.nodes[self.index[key]]
-
-    def freeze(self) -> None:
-        """Snapshot durations/topology once construction is finished."""
-        nodes = self.nodes
-        self.durations = [node.duration for node in nodes]
-        self.deadlines = [node.deadline for node in nodes]
-        self.scalable_indices = [
-            position
-            for position, node in enumerate(nodes)
-            if node.scalable
-        ]
-        in_degree = [len(entry) for entry in self.preds]
-        ready = [
-            position
-            for position, degree in enumerate(in_degree)
-            if degree == 0
-        ]
-        order: List[int] = []
-        while ready:
-            current = ready.pop()
-            order.append(current)
-            for nxt in self.succs[current]:
-                in_degree[nxt] -= 1
-                if in_degree[nxt] == 0:
-                    ready.append(nxt)
-        if len(order) != len(nodes):
-            raise VoltageScalingError("DVS graph contains a cycle")
-        self.topo = order
-        rank = [0] * len(nodes)
-        for ordinal, position in enumerate(order):
-            rank[position] = ordinal
-        self.topo_rank = rank
-        # Scratch flags for stretch_node's cone walks; always all-zero
-        # between calls.
-        self.pending = bytearray(len(nodes))
-
-    def refresh_durations(self) -> None:
-        durations = self.durations
-        for position, node in enumerate(self.nodes):
-            durations[position] = node.duration
-
-    def earliest_starts(self) -> List[float]:
-        return self.forward_timing()[0]
-
-    def forward_timing(self) -> Tuple[List[float], List[float]]:
-        # `finish[i] = est[i] + durations[i]` is computed once per node
-        # rather than once per out-edge; the operands (and hence the
-        # result) are identical either way.
-        size = len(self.nodes)
-        est = [0.0] * size
-        finish = [0.0] * size
-        durations = self.durations
-        preds = self.preds
-        for position in self.topo:
-            arrival = 0.0
-            for prev in preds[position]:
-                candidate = finish[prev]
-                if candidate > arrival:
-                    arrival = candidate
-            est[position] = arrival
-            finish[position] = arrival + durations[position]
-        return est, finish
-
-    def latest_finishes(self) -> List[float]:
-        return self.backward_timing()[0]
-
-    def backward_timing(self) -> Tuple[List[float], List[float]]:
-        # Mirror image of forward_timing: `lft[i] - durations[i]` is
-        # materialised once per node as `latest_start[i]`.
-        size = len(self.nodes)
-        lft = [0.0] * size
-        latest_start = [0.0] * size
-        durations = self.durations
-        succs = self.succs
-        deadlines = self.deadlines
-        for position in reversed(self.topo):
-            bound = deadlines[position]
-            for nxt in succs[position]:
-                candidate = latest_start[nxt]
-                if candidate < bound:
-                    bound = candidate
-            lft[position] = bound
-            latest_start[position] = bound - durations[position]
-        return lft, latest_start
-
-    def stretch_node(
-        self,
-        position: int,
-        est: List[float],
-        finish: List[float],
-        lft: List[float],
-        latest_start: List[float],
-    ) -> None:
-        """Propagate one node's duration change through cached timings.
-
-        Timing arrays depend only on durations, so a single stretched
-        node perturbs earliest starts downstream of it and latest
-        finishes upstream of it — two independent cones.  Each visited
-        node is refreshed with exactly the formula the full passes use
-        (max over the same predecessors' finishes, min over the same
-        successors' latest starts), and flagged nodes are visited in
-        topological-rank order so every operand is final before it is
-        read; the arrays therefore stay bit-identical to a full
-        recompute while only the affected cone is recomputed.  The
-        walk scans ``topo`` from the stretched node outward with a
-        reusable flag array — cheaper than a heap worklist because
-        cones are small and skipping an unflagged rank is a single
-        byte test.
-        """
-        durations = self.durations
-        topo = self.topo
-        rank = self.topo_rank
-        preds = self.preds
-        succs = self.succs
-        pending = self.pending
-
-        new_finish = est[position] + durations[position]
-        if new_finish != finish[position]:
-            finish[position] = new_finish
-            remaining = 0
-            for nxt in succs[position]:
-                if not pending[nxt]:
-                    pending[nxt] = 1
-                    remaining += 1
-            for ordinal in range(rank[position] + 1, len(topo)):
-                if not remaining:
-                    break
-                current = topo[ordinal]
-                if not pending[current]:
-                    continue
-                pending[current] = 0
-                remaining -= 1
-                arrival = 0.0
-                for prev in preds[current]:
-                    candidate = finish[prev]
-                    if candidate > arrival:
-                        arrival = candidate
-                est[current] = arrival
-                updated = arrival + durations[current]
-                # An unchanged finish stops the wave: downstream nodes
-                # only ever read `finish`, never `est` directly.
-                if updated != finish[current]:
-                    finish[current] = updated
-                    for nxt in succs[current]:
-                        if not pending[nxt]:
-                            pending[nxt] = 1
-                            remaining += 1
-
-        deadlines = self.deadlines
-        new_latest_start = lft[position] - durations[position]
-        if new_latest_start != latest_start[position]:
-            latest_start[position] = new_latest_start
-            remaining = 0
-            for prev in preds[position]:
-                if not pending[prev]:
-                    pending[prev] = 1
-                    remaining += 1
-            for ordinal in range(rank[position] - 1, -1, -1):
-                if not remaining:
-                    break
-                current = topo[ordinal]
-                if not pending[current]:
-                    continue
-                pending[current] = 0
-                remaining -= 1
-                bound = deadlines[current]
-                for nxt in succs[current]:
-                    candidate = latest_start[nxt]
-                    if candidate < bound:
-                        bound = candidate
-                lft[current] = bound
-                updated = bound - durations[current]
-                if updated != latest_start[current]:
-                    latest_start[current] = updated
-                    for prev in preds[current]:
-                        if not pending[prev]:
-                            pending[prev] = 1
-                            remaining += 1
-
-    def is_feasible(self) -> bool:
-        est = self.earliest_starts()
-        durations = self.durations
-        deadlines = self.deadlines
-        for position in range(len(self.nodes)):
-            if est[position] + durations[position] > (
-                deadlines[position] + TIME_EPS
-            ):
-                return False
-        return True
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.engine.decode_cache import DecodeContext
 
 
 def scale_schedule(
@@ -354,8 +50,6 @@ def scale_schedule(
     schedule: ModeSchedule,
     shared_rail: bool = True,
     context: Optional["DecodeContext"] = None,
-    vector: bool = True,
-    warm_start: bool = False,
 ) -> ModeSchedule:
     """Voltage-scale one mode's schedule by greedy energy-gradient descent.
 
@@ -374,117 +68,12 @@ def scale_schedule(
     and is exposed for the ablation benchmarks.
 
     ``context`` (see :mod:`repro.engine.decode_cache`) memoises the
-    per-(PE, duration, energy) voltage tables across candidates.
-
-    ``vector`` selects the struct-of-arrays kernels of
-    :mod:`repro.dvs._kernels` (the default fast path, bit-identical to
-    the legacy object-graph loop kept as the ablation oracle behind
-    ``vector=False``).  ``warm_start`` — vector path only — seeds the
-    descent from the closed-form continuous-relaxation snap; it changes
-    the descent trajectory, so it is off by default.
+    per-(PE, duration, energy) voltage tables across candidates; it is
+    resolved per problem when omitted.
     """
-    if vector:
-        return vector_scale_schedule(
-            problem,
-            mode,
-            schedule,
-            shared_rail=shared_rail,
-            context=context,
-            warm_start=warm_start,
-        )
-    if warm_start:
-        raise VoltageScalingError(
-            "the analytical warm start requires the vector kernels "
-            "(vector=True)"
-        )
-    return _legacy_scale_schedule(
-        problem, mode, schedule, shared_rail, context
+    return vector_scale_schedule(
+        problem, mode, schedule, shared_rail=shared_rail, context=context
     )
-
-
-def _legacy_scale_schedule(
-    problem: Problem,
-    mode: Mode,
-    schedule: ModeSchedule,
-    shared_rail: bool = True,
-    context: Optional["DecodeContext"] = None,
-) -> ModeSchedule:
-    """The original object-graph descent (``vector=False`` oracle).
-
-    Kept verbatim as the ablation baseline the array kernels are
-    fuzz-checked against; every accepted move, tie-break and emitted
-    float must stay exactly as the kernels' reference.
-    """
-    graph, segments_by_pe = _build_dvs_graph(
-        problem, mode, schedule, shared_rail, context
-    )
-
-    # Greedy gradient descent: always hand the slack to the move with
-    # the best energy saving per unit of added time.  Each node's
-    # candidate move (one level down from its *current* level) only
-    # changes when that node's level changes, so the per-move extra
-    # time and metric are cached and refreshed on accept.
-    nodes = graph.nodes
-    durations = graph.durations
-    scalable_indices = graph.scalable_indices
-    # Candidate moves as position-indexed lists (None = no move): the
-    # selection scan below runs once per accepted move, so lookups must
-    # be plain list indexing.
-    move_extra: List[Optional[float]] = [None] * len(nodes)
-    move_metric: List[Tuple[float, float]] = [(0.0, 0.0)] * len(nodes)
-
-    def refresh_move(position: int) -> None:
-        node = nodes[position]
-        level = node.level
-        if level == 0:
-            move_extra[position] = None
-            return
-        node_durations = node.durations
-        extra = node_durations[level - 1] - node_durations[level]
-        saved = node.energies[level] - node.energies[level - 1]
-        if saved <= 0:
-            move_extra[position] = None
-            return
-        move_extra[position] = extra
-        move_metric[position] = (saved / extra, saved)
-
-    for position in scalable_indices:
-        refresh_move(position)
-
-    # Timing arrays are computed once and then kept current by
-    # stretch_node after each accepted move, so the per-move cost is
-    # proportional to the affected cone instead of the whole DAG.
-    est, finish = graph.forward_timing()
-    lft, latest_start = graph.backward_timing()
-    while True:
-        best_index = -1
-        best_metric: Tuple[float, float] = (-1.0, -1.0)
-        for position in scalable_indices:
-            extra = move_extra[position]
-            if extra is None:
-                continue
-            slack = lft[position] - est[position] - durations[position]
-            if extra > slack + _SLACK_EPS + TIME_EPS:
-                continue
-            metric = move_metric[position]
-            if metric > best_metric:
-                best_metric = metric
-                best_index = position
-        if best_index < 0:
-            break
-        chosen = nodes[best_index]
-        chosen.level -= 1
-        durations[best_index] = chosen.durations[chosen.level]
-        refresh_move(best_index)
-        graph.stretch_node(best_index, est, finish, lft, latest_start)
-
-    if not segments_by_pe:
-        # Without Fig. 5 segment chains the replay DAG is structurally
-        # identical to this DVS graph, so the earliest starts of the
-        # final descent state *are* the replayed start times (max over
-        # floats is exact, hence order-independent) — skip the replay.
-        return _emit_schedule(mode, schedule, graph, est)
-    return _rebuild_schedule(problem, mode, schedule, graph, segments_by_pe)
 
 
 def uniform_scale_schedule(
@@ -500,476 +89,6 @@ def uniform_scale_schedule(
     found by bisection on the DVS graph.  Serves as the ablation
     comparator for the gradient-based :func:`scale_schedule`.
     """
-    graph, segments_by_pe = _build_dvs_graph(
+    return vector_uniform_scale_schedule(
         problem, mode, schedule, context=context
     )
-
-    def apply_factor(kappa: float) -> None:
-        for node in graph.nodes:
-            if not node.scalable:
-                continue
-            budget = node.durations[-1] * kappa
-            level = len(node.durations) - 1
-            for index, duration in enumerate(node.durations):
-                if duration <= budget + TIME_EPS:
-                    level = index
-                    break
-            node.level = level
-        graph.refresh_durations()
-
-    def feasible() -> bool:
-        return graph.is_feasible()
-
-    apply_factor(1.0)
-    if feasible():
-        low, high = 1.0, 64.0
-        for _ in range(40):
-            mid = (low + high) / 2
-            apply_factor(mid)
-            if feasible():
-                low = mid
-            else:
-                high = mid
-        apply_factor(low)
-    else:
-        apply_factor(1.0)
-    if not segments_by_pe:
-        return _emit_schedule(mode, schedule, graph, graph.earliest_starts())
-    return _rebuild_schedule(problem, mode, schedule, graph, segments_by_pe)
-
-
-# ----------------------------------------------------------------------
-# Graph construction
-# ----------------------------------------------------------------------
-
-
-def _task_node_key(name: str) -> str:
-    return f"task:{name}"
-
-
-def _comm_node_key(src: str, dst: str) -> str:
-    return f"comm:{src}->{dst}"
-
-
-def _segment_node_key(pe: str, index: int) -> str:
-    return f"seg:{pe}:{index}"
-
-
-def _build_dvs_graph(
-    problem: Problem,
-    mode: Mode,
-    schedule: ModeSchedule,
-    shared_rail: bool = True,
-    context: Optional["DecodeContext"] = None,
-) -> Tuple[_DvsGraph, Dict[str, Tuple[VirtualSegment, ...]]]:
-    architecture = problem.architecture
-    graph = _DvsGraph()
-    mode_data = context.modes[mode.name] if context is not None else None
-
-    def effective_deadline(task_name: str) -> float:
-        if mode_data is not None:
-            return mode_data.deadlines[task_name]
-        return mode.effective_deadline(task_name)
-
-    def voltage_tables(
-        pe: "ProcessingElement", duration: float, energy: float
-    ) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
-        if context is not None:
-            return context.duration_energy_tables(pe.name, duration, energy)
-        return duration_energy_tables(
-            duration, energy, pe.voltage_levels, pe.threshold_voltage
-        )
-
-    # With a shared rail per component, DVS-capable hardware is handled
-    # through the Fig. 5 segment chain.  With per-core rails, hardware
-    # tasks become individually scalable nodes like software tasks.
-    if shared_rail:
-        hw_dvs_pes = (
-            context.hw_dvs_pes
-            if context is not None
-            else {
-                pe.name
-                for pe in architecture.hardware_pes()
-                if pe.dvs_enabled
-            }
-        )
-    else:
-        hw_dvs_pes = set()
-    pe_objects = (
-        context.pes
-        if context is not None
-        else {pe.name: pe for pe in architecture.pes}
-    )
-    segments_by_pe: Dict[str, Tuple[VirtualSegment, ...]] = {}
-    # Activity indices are tracked during construction so edges are
-    # added by integer without re-hashing formatted key strings.
-    task_nodes = graph.task_nodes
-    comm_nodes = graph.comm_nodes
-    task_last_segment: Dict[str, int] = {}
-    task_first_segment: Dict[str, int] = {}
-
-    # --- nodes: tasks off DVS hardware, and segment chains on it -------
-    for task in schedule.tasks:
-        pe = pe_objects[task.pe]
-        if task.pe in hw_dvs_pes:
-            continue
-        if pe.dvs_enabled:
-            durations, energies = voltage_tables(
-                pe, task.duration, task.energy
-            )
-            node = _Node(
-                key=_task_node_key(task.name),
-                durations=durations,
-                energies=energies,
-                level=len(durations) - 1,
-                deadline=effective_deadline(task.name),
-                scalable=True,
-                levels=pe.voltage_levels,
-            )
-        else:
-            node = _Node(
-                key=_task_node_key(task.name),
-                durations=(task.duration,),
-                energies=(task.energy,),
-                level=0,
-                deadline=effective_deadline(task.name),
-                scalable=False,
-            )
-        task_nodes[task.name] = graph.add_node(node)
-
-    for pe_name in sorted(hw_dvs_pes):
-        placed = schedule.tasks_on(pe_name)
-        if not placed:
-            continue
-        pe = pe_objects[pe_name]
-        segments = transform_parallel_tasks(placed)
-        segments_by_pe[pe_name] = segments
-        segment_positions: Dict[int, int] = {}
-        for segment in segments:
-            durations, energies = voltage_tables(
-                pe, segment.duration, segment.energy
-            )
-            deadline = math.inf
-            for task in placed:
-                if task.name in segment.active and (
-                    abs(task.end - segment.end) <= TIME_EPS
-                ):
-                    deadline = min(
-                        deadline, effective_deadline(task.name)
-                    )
-            segment_positions[segment.index] = graph.add_node(
-                _Node(
-                    key=_segment_node_key(pe_name, segment.index),
-                    durations=durations,
-                    energies=energies,
-                    level=len(durations) - 1,
-                    deadline=deadline,
-                    scalable=True,
-                    levels=pe.voltage_levels,
-                )
-            )
-        # The chain: the component executes its segments in order.
-        for left, right in zip(segments, segments[1:]):
-            graph.add_edge(
-                segment_positions[left.index],
-                segment_positions[right.index],
-            )
-        for task in placed:
-            own = [s for s in segments if task.name in s.active]
-            task_first_segment[task.name] = segment_positions[own[0].index]
-            task_last_segment[task.name] = segment_positions[own[-1].index]
-
-    def end_anchor(task_name: str) -> int:
-        position = task_last_segment.get(task_name)
-        return task_nodes[task_name] if position is None else position
-
-    def start_anchor(task_name: str) -> int:
-        position = task_first_segment.get(task_name)
-        return task_nodes[task_name] if position is None else position
-
-    # --- nodes and edges: communications -------------------------------
-    for comm in schedule.comms:
-        position = graph.add_node(
-            _Node(
-                key=_comm_node_key(comm.src, comm.dst),
-                durations=(comm.duration,),
-                energies=(comm.energy,),
-                level=0,
-                deadline=math.inf,
-                scalable=False,
-            )
-        )
-        comm_nodes[(comm.src, comm.dst)] = position
-        graph.add_edge(end_anchor(comm.src), position)
-        graph.add_edge(position, start_anchor(comm.dst))
-
-    # --- edges: execution order on serial resources --------------------
-    for pe in architecture.pes:
-        if pe.name in hw_dvs_pes:
-            continue
-        placed = schedule.tasks_on(pe.name)
-        if pe.is_software:
-            for left, right in zip(placed, placed[1:]):
-                graph.add_edge(
-                    task_nodes[left.name], task_nodes[right.name]
-                )
-        else:
-            by_core: Dict[Tuple[str, Optional[int]], List[ScheduledTask]]
-            by_core = {}
-            for task in placed:
-                by_core.setdefault(
-                    (task.task_type, task.core_index), []
-                ).append(task)
-            for group in by_core.values():
-                group.sort(key=lambda t: t.start)
-                for left, right in zip(group, group[1:]):
-                    graph.add_edge(
-                        task_nodes[left.name], task_nodes[right.name]
-                    )
-    for link in architecture.links:
-        carried = schedule.comms_on(link.name)
-        for left, right in zip(carried, carried[1:]):
-            graph.add_edge(
-                comm_nodes[(left.src, left.dst)],
-                comm_nodes[(right.src, right.dst)],
-            )
-
-    graph.freeze()
-    return graph, segments_by_pe
-
-
-# ----------------------------------------------------------------------
-# Back-mapping and replay
-# ----------------------------------------------------------------------
-
-
-def _emit_schedule(
-    mode: Mode,
-    schedule: ModeSchedule,
-    graph: _DvsGraph,
-    est: List[float],
-) -> ModeSchedule:
-    """Materialise the scaled schedule straight from the DVS graph.
-
-    Only valid when no Fig. 5 segment chains exist: every activity is
-    then its own graph node and ``est`` (earliest starts under the final
-    durations) equals the start times a full :func:`_replay` over the
-    order-augmented DAG would compute.
-    """
-    task_nodes = graph.task_nodes
-    comm_nodes = graph.comm_nodes
-    nodes = graph.nodes
-    new_tasks: List[ScheduledTask] = []
-    for task in schedule.tasks:
-        position = task_nodes[task.name]
-        node = nodes[position]
-        start = est[position]
-        if node.scalable:
-            duration = node.durations[node.level]
-            energy = node.energies[node.level]
-            pieces: Tuple[Tuple[float, float], ...] = (
-                (duration, node.levels[node.level]),
-            )
-        else:
-            duration = task.duration
-            energy = task.energy
-            pieces = ()
-        new_tasks.append(
-            ScheduledTask(
-                name=task.name,
-                task_type=task.task_type,
-                pe=task.pe,
-                start=start,
-                end=start + duration,
-                energy=energy,
-                power=task.power,
-                core_index=task.core_index,
-                pieces=pieces,
-            )
-        )
-    new_comms: List[ScheduledComm] = []
-    for comm in schedule.comms:
-        position = comm_nodes[(comm.src, comm.dst)]
-        start = est[position]
-        new_comms.append(
-            ScheduledComm(
-                src=comm.src,
-                dst=comm.dst,
-                link=comm.link,
-                start=start,
-                end=start + comm.duration,
-                energy=comm.energy,
-            )
-        )
-    return ModeSchedule(mode.name, new_tasks, new_comms)
-
-
-def _rebuild_schedule(
-    problem: Problem,
-    mode: Mode,
-    schedule: ModeSchedule,
-    graph: _DvsGraph,
-    segments_by_pe: Mapping[str, Tuple[VirtualSegment, ...]],
-) -> ModeSchedule:
-    """Map segment/task voltages back to tasks and replay the mode."""
-    architecture = problem.architecture
-    scaled: Dict[str, Tuple[float, float, Tuple[Tuple[float, float], ...]]]
-    scaled = {}
-
-    segment_nodes: Dict[Tuple[str, int], _Node] = {}
-    for pe_name, segments in segments_by_pe.items():
-        for segment in segments:
-            segment_nodes[(pe_name, segment.index)] = graph.node(
-                _segment_node_key(pe_name, segment.index)
-            )
-
-    for task in schedule.tasks:
-        pe = architecture.pe(task.pe)
-        if task.pe in segments_by_pe:
-            vmax = pe.voltage_levels[-1]
-            pieces: List[Tuple[float, float]] = []
-            duration = 0.0
-            energy = 0.0
-            for segment in segments_by_pe[task.pe]:
-                if task.name not in segment.active:
-                    continue
-                node = segment_nodes[(task.pe, segment.index)]
-                voltage = node.levels[node.level]
-                piece = scaled_duration(
-                    segment.duration, voltage, vmax, pe.threshold_voltage
-                )
-                pieces.append((piece, voltage))
-                duration += piece
-                energy += scaled_energy(
-                    task.power * segment.duration, voltage, vmax
-                )
-            scaled[task.name] = (duration, energy, tuple(pieces))
-        else:
-            node = graph.node(_task_node_key(task.name))
-            if node.scalable:
-                voltage = node.levels[node.level]
-                scaled[task.name] = (
-                    node.duration,
-                    node.energy,
-                    ((node.duration, voltage),),
-                )
-            else:
-                scaled[task.name] = (task.duration, task.energy, ())
-
-    return _replay(problem, mode, schedule, scaled)
-
-
-def _replay(
-    problem: Problem,
-    mode: Mode,
-    schedule: ModeSchedule,
-    scaled: Mapping[str, Tuple[float, float, Tuple[Tuple[float, float], ...]]],
-) -> ModeSchedule:
-    """Forward-simulate the mode with new durations, preserving order.
-
-    The order-augmented task-level DAG (precedence through comms plus
-    the original per-resource execution order) is traversed once; every
-    activity starts as soon as all its ordering predecessors finish.
-    """
-    architecture = problem.architecture
-    tasks = schedule.tasks
-    comms = schedule.comms
-    count = len(tasks) + len(comms)
-    task_index = {task.name: index for index, task in enumerate(tasks)}
-    comm_index: Dict[Tuple[str, str], int] = {}
-
-    succ: List[List[int]] = [[] for _ in range(count)]
-    preds: List[List[int]] = [[] for _ in range(count)]
-    durations = [0.0] * count
-
-    def add_edge(src: int, dst: int) -> None:
-        succ[src].append(dst)
-        preds[dst].append(src)
-
-    for index, task in enumerate(tasks):
-        durations[index] = scaled[task.name][0]
-    for offset, comm in enumerate(comms):
-        index = len(tasks) + offset
-        comm_index[comm.key] = index
-        durations[index] = comm.duration
-        add_edge(task_index[comm.src], index)
-        add_edge(index, task_index[comm.dst])
-
-    for pe in architecture.pes:
-        placed = schedule.tasks_on(pe.name)
-        if pe.is_software:
-            for left, right in zip(placed, placed[1:]):
-                add_edge(task_index[left.name], task_index[right.name])
-        else:
-            by_core: Dict[Tuple[str, Optional[int]], List[ScheduledTask]]
-            by_core = {}
-            for task in placed:
-                by_core.setdefault(
-                    (task.task_type, task.core_index), []
-                ).append(task)
-            for group in by_core.values():
-                group.sort(key=lambda t: t.start)
-                for left, right in zip(group, group[1:]):
-                    add_edge(
-                        task_index[left.name], task_index[right.name]
-                    )
-    for link in architecture.links:
-        carried = schedule.comms_on(link.name)
-        for left, right in zip(carried, carried[1:]):
-            add_edge(comm_index[left.key], comm_index[right.key])
-
-    # Kahn traversal; start times are max-accumulations over a node's
-    # ordering predecessors, so the visit order cannot change a float.
-    in_degree = [len(entries) for entries in preds]
-    ready = [index for index in range(count) if not in_degree[index]]
-    start = [0.0] * count
-    finish = [0.0] * count
-    visited = 0
-    while ready:
-        current = ready.pop()
-        visited += 1
-        arrival = 0.0
-        for prev in preds[current]:
-            value = finish[prev]
-            if value > arrival:
-                arrival = value
-        start[current] = arrival
-        finish[current] = arrival + durations[current]
-        for nxt in succ[current]:
-            in_degree[nxt] -= 1
-            if not in_degree[nxt]:
-                ready.append(nxt)
-    if visited != count:
-        raise VoltageScalingError("replay graph contains a cycle")
-
-    new_tasks: List[ScheduledTask] = []
-    for index, task in enumerate(tasks):
-        begin = start[index]
-        duration, energy, pieces = scaled[task.name]
-        new_tasks.append(
-            ScheduledTask(
-                name=task.name,
-                task_type=task.task_type,
-                pe=task.pe,
-                start=begin,
-                end=begin + duration,
-                energy=energy,
-                power=task.power,
-                core_index=task.core_index,
-                pieces=pieces,
-            )
-        )
-    new_comms: List[ScheduledComm] = []
-    for offset, comm in enumerate(comms):
-        begin = start[len(tasks) + offset]
-        new_comms.append(
-            ScheduledComm(
-                src=comm.src,
-                dst=comm.dst,
-                link=comm.link,
-                start=begin,
-                end=begin + comm.duration,
-                energy=comm.energy,
-            )
-        )
-    return ModeSchedule(mode.name, new_tasks, new_comms)

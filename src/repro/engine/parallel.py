@@ -78,9 +78,7 @@ def _init_worker(payload: bytes) -> None:
     omsm, architecture, technology, config = pickle.loads(payload)
     _worker_problem = Problem(omsm, architecture, technology)
     _worker_config = config
-    _worker_context = (
-        DecodeContext.build(_worker_problem) if config.decode_cache else None
-    )
+    _worker_context = DecodeContext.build(_worker_problem)
     # Forked workers inherit the parent's accumulated phase totals and
     # metrics; deltas shipped back must only cover work done in this
     # process.
@@ -112,7 +110,7 @@ def evaluate_inprocess(
     """
     from repro.synthesis.evaluator import evaluate_mapping
 
-    context = context_for(problem) if config.decode_cache else None
+    context = context_for(problem)
     started = time.perf_counter()
     records = [
         record_from_implementation(
@@ -273,18 +271,13 @@ class ParallelEvaluator:
                 global _worker_problem, _worker_config, _worker_context
                 _worker_problem = self.problem
                 _worker_config = self.config
-                _worker_context = (
-                    context_for(self.problem)
-                    if self.config.decode_cache
-                    else None
-                )
-                if self.config.mode_cache:
-                    # Materialise the parent's mode-result cache before
-                    # forking: workers inherit its warm entries
-                    # copy-on-write and keep their own copies from
-                    # there on (hits/misses still reach the parent via
-                    # the metric deltas shipped with each chunk).
-                    mode_cache_for(self.problem, self.config)
+                _worker_context = context_for(self.problem)
+                # Materialise the parent's mode-result cache before
+                # forking: workers inherit its warm entries
+                # copy-on-write and keep their own copies from there on
+                # (hits/misses still reach the parent via the metric
+                # deltas shipped with each chunk).
+                mode_cache_for(self.problem)
                 return multiprocessing.Pool(
                     processes=self.jobs,
                     initializer=_init_forked_worker,
@@ -509,9 +502,7 @@ class ParallelEvaluator:
         # blocking idle in map().  Its phase timings land in the global
         # PROFILER like any in-process evaluation.
         pending = self._pool.map_async(_eval_chunk, chunks[:-1])
-        context = (
-            context_for(self.problem) if self.config.decode_cache else None
-        )
+        context = context_for(self.problem)
         local_records = [
             evaluate_genes(self.problem, genes, self.config, context)
             for genes in chunks[-1]

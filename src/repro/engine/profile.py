@@ -178,8 +178,7 @@ class PerfStats:
     mode_cache_hits / mode_cache_misses / mode_cache_evictions:
         Per-mode stage-result cache activity of the incremental
         evaluation pipeline (:mod:`repro.eval`), summed over the main
-        process and all pool workers via the run's metric delta.  All
-        zero when ``SynthesisConfig.mode_cache`` is disabled.
+        process and all pool workers via the run's metric delta.
     speculation_issued / speculation_hits / speculation_discards:
         Speculative next-generation evaluation activity on the async
         pool: predicted genomes dispatched ahead of their batch, batch

@@ -4,9 +4,9 @@ The package splits the monolithic candidate evaluator into explicit
 stages (:mod:`repro.eval.stages`), memoises per-mode stage results in a
 bounded LRU (:mod:`repro.eval.cache`) and orchestrates both from
 :func:`~repro.eval.pipeline.evaluate_mapping_incremental`
-(:mod:`repro.eval.pipeline`).  The monolithic path remains reachable via
-``SynthesisConfig.mode_cache = False`` and is the pipeline's
-bit-identity oracle.
+(:mod:`repro.eval.pipeline`).  It is the only evaluation path; the
+seed's monolithic evaluator survives as the bit-identity oracle
+``tests/oracles/evaluator.py``.
 """
 
 from repro.eval.cache import (

@@ -25,8 +25,8 @@ Two segments, two keys:
     caused by *other* modes only miss when they actually change a count
     this mode observes.
 
-Both segments are bounded LRUs (``SynthesisConfig.mode_cache_size``
-entries each); hits, misses and evictions are metered per mode on the
+Both segments are bounded LRUs (:data:`MODE_CACHE_CAPACITY` entries
+each); hits, misses and evictions are metered per mode on the
 process-global :data:`~repro.obs.metrics.REGISTRY` together with a
 hit-rate gauge and an (approximate) bytes-resident gauge.
 
@@ -49,11 +49,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.problem import Problem
     from repro.synthesis.config import SynthesisConfig
 
+#: Entry capacity of each segment (prep / schedule) of a problem's
+#: mode-result cache.  Only bounds evictions: results are identical at
+#: any capacity.
+MODE_CACHE_CAPACITY = 4096
+
 #: The configuration facets that change per-mode stage results.  Two
 #: configs with equal fingerprints produce bit-identical mode results,
 #: so entries are shared; anything else (fitness weights, probability
 #: policy, GA sizing) only affects the uncached combine stages.
-ConfigFingerprint = Tuple[str, bool, bool, int]
+ConfigFingerprint = Tuple[str, bool, int]
 
 #: ``(mode, mode-gene slice, fingerprint)``.
 PrepKey = Tuple[str, Tuple[str, ...], ConfigFingerprint]
@@ -78,7 +83,6 @@ def config_fingerprint(config: "SynthesisConfig") -> ConfigFingerprint:
     return (
         config.dvs.value,
         config.dvs_shared_rail,
-        config.decode_cache,
         config.inner_loop_iterations,
     )
 
@@ -117,7 +121,7 @@ class ModeOutcome:
 
     ``schedule is None`` marks a *scheduling-infeasible* mode slice
     (the list scheduler raised): the pipeline returns ``None`` for the
-    whole candidate, exactly like the monolithic path — and the
+    whole candidate, exactly like the seed evaluator — and the
     infeasibility itself is cacheable.
     """
 
@@ -169,7 +173,7 @@ class ModeResultCache:
         "_journal",
     )
 
-    def __init__(self, capacity: int = 4096) -> None:
+    def __init__(self, capacity: int = MODE_CACHE_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError("mode cache capacity must be at least 1")
         self.capacity = capacity
@@ -369,9 +373,7 @@ class ModeResultCache:
         }
 
 
-def mode_cache_for(
-    problem: "Problem", config: "SynthesisConfig"
-) -> ModeResultCache:
+def mode_cache_for(problem: "Problem") -> ModeResultCache:
     """The problem's mode-result cache, built on first use and memoised.
 
     Follows the ``context_for`` pattern: the cache rides on the
@@ -383,6 +385,6 @@ def mode_cache_for(
     """
     cached = getattr(problem, "_mode_result_cache", None)
     if cached is None:
-        cached = ModeResultCache(config.mode_cache_size)
+        cached = ModeResultCache(MODE_CACHE_CAPACITY)
         problem._mode_result_cache = cached  # type: ignore[attr-defined]
     return cached

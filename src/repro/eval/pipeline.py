@@ -1,9 +1,10 @@
 """The incremental per-mode evaluation pipeline.
 
-:func:`evaluate_mapping_incremental` produces results bit-identical to
-the monolithic :func:`repro.synthesis.evaluator.evaluate_mapping` body
-(kept as the ablation oracle behind ``SynthesisConfig.mode_cache =
-False``), but runs each candidate through explicit stages —
+:func:`evaluate_mapping_incremental` is the one evaluation path behind
+:func:`repro.synthesis.evaluator.evaluate_mapping`.  It produces results
+bit-identical to the seed's monolithic evaluator (frozen as the
+differential oracle ``tests/oracles/evaluator.py``), but runs each
+candidate through explicit stages —
 
     decode → mobility → core allocation →
     per-mode {comm mapping, list schedule, DVS} → power → fitness
@@ -61,16 +62,17 @@ def evaluate_mapping_incremental(
 ) -> Optional[Implementation]:
     """Decode, schedule, scale and score one candidate through the stages.
 
-    Drop-in equivalent of the monolithic evaluator: same ``None`` result
-    for communication- or scheduling-infeasible mappings, bit-identical
-    metrics otherwise.  ``cache`` defaults to the problem's memoised
-    :func:`~repro.eval.cache.mode_cache_for` instance so the GA loop,
-    the local-search polish and the pool serial fallback share one.
+    Same ``None`` result as the seed evaluator for communication- or
+    scheduling-infeasible mappings, bit-identical metrics otherwise.
+    ``context`` defaults to the problem's memoised decode context and
+    ``cache`` to its memoised :func:`~repro.eval.cache.mode_cache_for`
+    instance, so the GA loop, the local-search polish and the pool
+    serial fallback share one.
     """
-    if context is None and config.decode_cache:
+    if context is None:
         context = context_for(problem)
     if cache is None:
-        cache = mode_cache_for(problem, config)
+        cache = mode_cache_for(problem)
     fingerprint = config_fingerprint(config)
 
     # Stage 1+2 (decode, mobility) and the per-mode share of stage 3
@@ -129,8 +131,8 @@ def evaluate_mapping_incremental(
             outcome = run_mode(problem, config, context, mode, prep, cores)
             cache.put_sched(sched_key, outcome)
         if outcome.schedule is None:
-            # Scheduling-infeasible, like the monolithic early return —
-            # but the infeasibility itself came from / went to cache.
+            # Scheduling-infeasible, like the seed's early return — but
+            # the infeasibility itself came from / went to cache.
             return None
         schedules[mode.name] = outcome.schedule
         if outcome.timing:

@@ -4,10 +4,10 @@ Each function is one explicit stage of the decode → mobility → core
 allocation → per-mode {comm mapping, list schedule, DVS} → power →
 fitness pipeline (:mod:`repro.eval.pipeline` orchestrates them and owns
 the caching).  Every stage replicates the corresponding slice of the
-monolithic :func:`repro.synthesis.evaluator.evaluate_mapping` body —
-same calls, same float operations, same iteration order — so pipeline
-results are bit-identical to the legacy path.  Where a kernel could be
-shared it was extracted rather than duplicated
+seed's monolithic evaluator (frozen as ``tests/oracles/evaluator.py``)
+— same float operations, same iteration order — so pipeline results
+are bit-identical to it.  Where a kernel could be shared it was
+extracted rather than duplicated
 (:func:`repro.mapping.cores.mode_pe_demand`,
 :func:`repro.power.energy_model.weighted_power`).
 """
@@ -17,10 +17,6 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.architecture.processing_element import PEKind
-from repro.dvs._pv_dvs_reference import (
-    reference_scale_schedule,
-    reference_uniform_scale_schedule,
-)
 from repro.dvs.pv_dvs import scale_schedule, uniform_scale_schedule
 from repro.engine.decode_cache import DecodeContext
 from repro.engine.profile import PROFILER
@@ -37,7 +33,6 @@ from repro.power.energy_model import mode_dynamic_power
 from repro.power.shutdown import mode_static_power
 from repro.problem import Problem
 from repro.scheduling.list_scheduler import schedule_mode
-from repro.scheduling.mobility import compute_mobilities
 from repro.scheduling.schedule import ModeSchedule
 from repro.specification.mode import Mode
 from repro.synthesis.config import DvsMethod, SynthesisConfig
@@ -45,32 +40,21 @@ from repro.synthesis.config import DvsMethod, SynthesisConfig
 
 def prepare_mode(
     problem: Problem,
-    context: Optional[DecodeContext],
+    context: DecodeContext,
     mapping: MappingString,
     mode: Mode,
 ) -> ModePrep:
     """Mobility stage: mode mapping, ASAP/ALAP mobilities, core demand.
 
     Pure function of the mode's gene slice (prep cache segment).  The
-    mapping/mobility part mirrors the first per-mode loop of the
+    mapping/mobility part mirrors the first per-mode loop of the seed's
     monolithic evaluator; the demand part hoists this mode's share of
     ``allocate_cores`` out of the (cross-mode) combine stage — it too
     depends only on this mode's genes.
     """
-    technology = problem.technology
     mode_mapping = mapping.mode_mapping(mode.name)
-    if context is not None:
-        mobilities = context.compute_mobilities(mode.name, mode_mapping)
-        mode_data = context.modes[mode.name]
-    else:
-        mobilities = compute_mobilities(
-            mode,
-            lambda task, _mode=mode: technology.implementation(
-                _mode.task_graph.task(task).task_type,
-                mapping.pe_of(_mode.name, task),
-            ).exec_time,
-        )
-        mode_data = None
+    mobilities = context.compute_mobilities(mode.name, mode_mapping)
+    mode_data = context.modes[mode.name]
     demand: ModeDemand = {}
     for pe in problem.architecture.hardware_pes():
         demand[pe.name] = mode_pe_demand(
@@ -78,9 +62,8 @@ def prepare_mode(
             mode,
             pe,
             mobilities,
-            mapping=mapping,
             mode_data=mode_data,
-            pe_by_task=mode_mapping if mode_data is not None else None,
+            pe_by_task=mode_mapping,
         )
     return ModePrep(mode_mapping, mobilities, demand)
 
@@ -159,14 +142,14 @@ def core_signature(
 def run_mode(
     problem: Problem,
     config: SynthesisConfig,
-    context: Optional[DecodeContext],
+    context: DecodeContext,
     mode: Mode,
     prep: ModePrep,
     cores: CoreAllocation,
 ) -> ModeOutcome:
     """Per-mode schedule stage: list scheduling, DVS, timing, power.
 
-    Mirrors the monolithic evaluator's second per-mode loop (schedule +
+    Mirrors the seed evaluator's second per-mode loop (schedule +
     DVS phases, timing violations) and hoists the mode's share of the
     power breakdown (dynamic and static power are per-mode quantities).
     A :class:`~repro.errors.SchedulingError` yields an infeasible
@@ -203,38 +186,19 @@ def run_mode(
     if config.dvs is not DvsMethod.NONE:
         with PROFILER.phase("dvs", mode=mode.name):
             if config.dvs is DvsMethod.GRADIENT:
-                if config.decode_cache:
-                    schedule = scale_schedule(
-                        problem,
-                        mode,
-                        schedule,
-                        shared_rail=config.dvs_shared_rail,
-                        context=context,
-                        vector=config.vector_dvs,
-                        warm_start=config.dvs_warm_start,
-                    )
-                else:
-                    schedule = reference_scale_schedule(
-                        problem,
-                        mode,
-                        schedule,
-                        shared_rail=config.dvs_shared_rail,
-                    )
-            elif config.decode_cache:
+                schedule = scale_schedule(
+                    problem,
+                    mode,
+                    schedule,
+                    shared_rail=config.dvs_shared_rail,
+                    context=context,
+                )
+            else:
                 schedule = uniform_scale_schedule(
                     problem, mode, schedule, context=context
                 )
-            else:
-                schedule = reference_uniform_scale_schedule(
-                    problem, mode, schedule
-                )
     violations = schedule.timing_violations(
-        mode,
-        deadlines=(
-            context.modes[mode.name].deadlines
-            if context is not None
-            else None
-        ),
+        mode, deadlines=context.modes[mode.name].deadlines
     )
     dynamic = mode_dynamic_power(problem, mode.name, schedule)
     static = mode_static_power(problem, schedule)

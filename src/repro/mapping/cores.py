@@ -22,15 +22,12 @@ Area accounting distinguishes the two hardware kinds:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.architecture.processing_element import PEKind, ProcessingElement
 from repro.mapping.encoding import MappingString
 from repro.problem import Problem
 from repro.scheduling.mobility import MobilityInfo, compute_mobilities
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.engine.decode_cache import DecodeContext
 
 
 @dataclass
@@ -137,8 +134,6 @@ def allocate_cores(
     problem: Problem,
     mapping: MappingString,
     mobilities: Optional[Mapping[str, Mapping[str, MobilityInfo]]] = None,
-    context: Optional["DecodeContext"] = None,
-    mode_mappings: Optional[Mapping[str, Mapping[str, str]]] = None,
 ) -> CoreAllocation:
     """Derive the hardware core sets implied by a mapping string.
 
@@ -151,13 +146,6 @@ def allocate_cores(
     mobilities:
         Optional per-mode mobility tables (``{mode: {task: info}}``).
         Computed on demand when omitted.
-    context:
-        Optional decode context; supplies precomputed task types and
-        same-type independence, avoiding per-candidate graph queries.
-    mode_mappings:
-        Optional predecoded ``{mode: {task: pe}}`` dictionaries (the
-        evaluator already built them); avoids ``O(genes)`` ``pe_of``
-        scans per task.
     """
     architecture = problem.architecture
     technology = problem.technology
@@ -178,9 +166,7 @@ def allocate_cores(
     mode_names = problem.omsm.mode_names
 
     for pe in architecture.hardware_pes():
-        base, desired = _per_mode_demand(
-            problem, mapping, mobilities, pe, context, mode_mappings
-        )
+        base, desired = _per_mode_demand(problem, mapping, mobilities, pe)
         if pe.kind is PEKind.ASIC:
             pe_counts, used = _fit_asic(problem, pe, base, desired)
         else:
@@ -199,8 +185,6 @@ def _per_mode_demand(
     mapping: MappingString,
     mobilities: Mapping[str, Mapping[str, MobilityInfo]],
     pe: ProcessingElement,
-    context: Optional["DecodeContext"] = None,
-    mode_mappings: Optional[Mapping[str, Mapping[str, str]]] = None,
 ) -> Tuple[Dict[str, Dict[str, int]], Dict[str, Dict[str, int]]]:
     """Minimum and desired per-mode core counts for one hardware PE.
 
@@ -216,18 +200,8 @@ def _per_mode_demand(
     base: Dict[str, Dict[str, int]] = {}
     desired: Dict[str, Dict[str, int]] = {}
     for mode in problem.omsm.modes:
-        mode_data = context.modes[mode.name] if context is not None else None
-        pe_by_task = (
-            mode_mappings[mode.name] if mode_mappings is not None else None
-        )
         base_counts, desired_counts = mode_pe_demand(
-            problem,
-            mode,
-            pe,
-            mobilities[mode.name],
-            mapping=mapping,
-            mode_data=mode_data,
-            pe_by_task=pe_by_task,
+            problem, mode, pe, mobilities[mode.name], mapping=mapping
         )
         base[mode.name] = base_counts
         desired[mode.name] = desired_counts

@@ -24,7 +24,7 @@ import pathlib
 from typing import Any, Dict, Optional, Union
 
 from repro.errors import CampaignError
-from repro.synthesis.config import SynthesisConfig
+from repro.synthesis.config import RETIRED_KEYS, SynthesisConfig
 from repro.synthesis.state import GAState
 
 PathLike = Union[str, pathlib.Path]
@@ -127,12 +127,25 @@ def load_checkpoint(
             f"checkpoint {path} belongs to job {data.get('job_id')!r}, "
             f"not {job_id!r}"
         )
-    if config is not None and data.get("config") != config.to_dict():
+    if config is not None and _current_keys(data.get("config")) != (
+        config.to_dict()
+    ):
         raise CampaignError(
             f"checkpoint {path} was written under a different synthesis "
             f"configuration; delete it to restart the job from scratch"
         )
     return GAState.from_dict(data["state"])
+
+
+def _current_keys(stored: Any) -> Any:
+    """``stored`` without the :data:`RETIRED_KEYS` older releases wrote.
+
+    Those switches never changed a result, so a checkpoint written
+    before their removal resumes as if they had never been there.
+    """
+    if not isinstance(stored, dict):
+        return stored
+    return {k: v for k, v in stored.items() if k not in RETIRED_KEYS}
 
 
 def clear_checkpoint(run_dir: PathLike, job_id: str) -> None:

@@ -9,6 +9,24 @@ from typing import Any, Dict, Mapping, Optional
 
 from repro.errors import SynthesisError
 
+#: Keys that earlier releases wrote into serialised configs (campaign
+#: specs, checkpoints, server job records) for switches that no longer
+#: exist.  :meth:`SynthesisConfig.from_dict` accepts and drops them so
+#: persisted files still load: ``decode_cache``, ``mode_cache`` and
+#: ``vector_dvs`` selected bit-identical implementations,
+#: ``mode_cache_size`` only bounded evictions, and the opt-in analytical
+#: DVS warm start ended with the cold descent's energy on every
+#: measured corpus.
+RETIRED_KEYS = frozenset(
+    {
+        "decode_cache",
+        "mode_cache",
+        "mode_cache_size",
+        "vector_dvs",
+        "dvs_warm_start",
+    }
+)
+
 
 class DvsMethod(enum.Enum):
     """Which voltage-selection technique the inner loop applies."""
@@ -122,36 +140,6 @@ class SynthesisConfig:
         records the failure; ``"raise"`` surfaces it as a
         :class:`~repro.errors.WorkerPoolError` so a supervising runtime
         (the campaign runner) can retry the job on a fresh pool.
-    decode_cache:
-        Use the prebuilt per-problem
-        :class:`~repro.engine.decode_cache.DecodeContext` fast paths
-        during candidate decoding.  ``False`` restores the legacy
-        recompute-per-candidate paths (ablation/benchmark hook); both
-        produce bit-identical results.
-    mode_cache:
-        Evaluate candidates through the staged incremental pipeline
-        (:mod:`repro.eval`), memoising per-mode stage results in a
-        bounded LRU :class:`~repro.eval.cache.ModeResultCache` so a
-        candidate that only perturbs one mode pays for one mode's
-        schedule instead of all of them.  ``False`` restores the
-        monolithic :func:`~repro.synthesis.evaluator.evaluate_mapping`
-        body (the ablation oracle); both produce bit-identical results.
-    mode_cache_size:
-        Entry capacity of each segment (prep / schedule) of the
-        per-problem mode-result cache.
-    vector_dvs:
-        Run the PV-DVS gradient descent through the struct-of-arrays
-        kernels (:mod:`repro.dvs._kernels`).  ``False`` restores the
-        legacy object-graph descent loop (the ablation oracle); both
-        produce bit-identical schedules.  Only meaningful for
-        ``dvs=DvsMethod.GRADIENT`` with ``decode_cache=True`` (the
-        reference paths ignore it).
-    dvs_warm_start:
-        Seed the vectorised descent with the closed-form continuous
-        voltage relaxation, snapped (damped) to the discrete grid
-        before the gradient loop.  Changes the descent path — results
-        are no longer bit-identical to the cold start, but final energy
-        is never worse on the fuzz corpus.  Requires ``vector_dvs``.
     seed:
         Seed of the synthesis RNG; runs are reproducible per seed.
     """
@@ -189,11 +177,6 @@ class SynthesisConfig:
 
     jobs: int = 1
     async_pool: bool = True
-    decode_cache: bool = True
-    mode_cache: bool = True
-    mode_cache_size: int = 4096
-    vector_dvs: bool = True
-    dvs_warm_start: bool = False
     speculative: bool = True
     speculation_depth: int = 1
     pool_failure_mode: str = "fallback"
@@ -240,13 +223,6 @@ class SynthesisConfig:
             )
         if self.jobs < 1:
             raise SynthesisError("jobs must be at least 1")
-        if self.mode_cache_size < 1:
-            raise SynthesisError("mode cache size must be at least 1")
-        if self.dvs_warm_start and not self.vector_dvs:
-            raise SynthesisError(
-                "dvs_warm_start requires the vectorised kernels "
-                "(vector_dvs=True)"
-            )
         if self.speculation_depth < 1:
             raise SynthesisError("speculation depth must be at least 1")
         if self.pool_failure_mode not in ("fallback", "raise"):
@@ -273,17 +249,22 @@ class SynthesisConfig:
         """Rebuild a validated config from :meth:`to_dict` output.
 
         Unknown keys are rejected (a typo in a hand-written campaign
-        spec must not silently fall back to a default), and field
+        spec must not silently fall back to a default), the
+        :data:`RETIRED_KEYS` of earlier releases are dropped, and field
         values pass through ``__post_init__`` validation as usual.
         """
         field_names = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - field_names)
+        values = {
+            key: value
+            for key, value in data.items()
+            if key not in RETIRED_KEYS
+        }
+        unknown = sorted(set(values) - field_names)
         if unknown:
             raise SynthesisError(
                 f"unknown configuration keys: {unknown}; valid keys are "
                 f"{sorted(field_names)}"
             )
-        values = dict(data)
         if "dvs" in values and not isinstance(values["dvs"], DvsMethod):
             try:
                 values["dvs"] = DvsMethod(values["dvs"])

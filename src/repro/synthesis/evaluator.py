@@ -11,38 +11,26 @@ A mapping can be *communication-infeasible* (two communicating tasks on
 PEs that share no link).  Such candidates evaluate to ``None`` and the
 GA assigns them an infinite fitness.
 
-Evaluation is the synthesis hot path: every phase is timed into the
-process-global :data:`~repro.engine.profile.PROFILER` and all
-mapping-independent data comes from a prebuilt
-:class:`~repro.engine.decode_cache.DecodeContext` (resolved per problem
-unless the caller threads one through, e.g. a pool worker).  The cached
-fast paths produce bit-identical results to the legacy recompute-per-
-candidate paths, which remain reachable via
-``SynthesisConfig.decode_cache = False`` for ablation benchmarks.
+Evaluation is the synthesis hot path.  It runs through the staged
+incremental pipeline of :mod:`repro.eval`: all mapping-independent data
+comes from a prebuilt :class:`~repro.engine.decode_cache.DecodeContext`
+(resolved per problem unless the caller threads one through, e.g. a
+pool worker), per-mode stage results are served from the problem's
+bounded :class:`~repro.eval.cache.ModeResultCache`, and every phase is
+timed into the process-global :data:`~repro.engine.profile.PROFILER`.
+Results are bit-identical to the seed's monolithic evaluator, frozen as
+the differential oracle ``tests/oracles/evaluator.py``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.errors import SchedulingError
-from repro.engine.decode_cache import DecodeContext, context_for
-from repro.engine.profile import PROFILER
-from repro.dvs.pv_dvs import scale_schedule, uniform_scale_schedule
-from repro.dvs._pv_dvs_reference import (
-    reference_scale_schedule,
-    reference_uniform_scale_schedule,
-)
-from repro.mapping.cores import allocate_cores
+from repro.engine.decode_cache import DecodeContext
 from repro.mapping.encoding import MappingString
-from repro.mapping.implementation import Implementation, ImplementationMetrics
-from repro.power.energy_model import average_power, power_breakdown
+from repro.mapping.implementation import Implementation
 from repro.problem import Problem
-from repro.scheduling.list_scheduler import schedule_mode
-from repro.scheduling.mobility import compute_mobilities
-from repro.scheduling.schedule import ModeSchedule
-from repro.synthesis.config import DvsMethod, SynthesisConfig
-from repro.synthesis.fitness import FitnessWeights, mapping_fitness
+from repro.synthesis.config import SynthesisConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.eval.cache import ModeResultCache
@@ -57,171 +45,21 @@ def evaluate_mapping(
 ) -> Optional[Implementation]:
     """Decode, schedule, scale and score one mapping candidate.
 
-    Returns ``None`` for communication-infeasible mappings; otherwise an
-    :class:`Implementation` whose ``metrics.fitness`` reflects the
-    configuration's probability policy while ``metrics.average_power``
-    is always the true-probability Equation (1) value.
+    Returns ``None`` for communication- or scheduling-infeasible
+    mappings; otherwise an :class:`Implementation` whose
+    ``metrics.fitness`` reflects the configuration's probability policy
+    while ``metrics.average_power`` is always the true-probability
+    Equation (1) value.
 
-    ``context`` supplies the prebuilt mapping-independent decode tables;
-    when omitted it is resolved (and memoised) per problem, unless the
-    configuration disables the decode cache entirely.
-
-    With ``config.mode_cache`` enabled (the default) the candidate runs
-    through the staged incremental pipeline instead, which serves
-    per-mode stage results from a bounded cache; the monolithic body
-    below is the bit-identity oracle it is tested against.
+    ``context`` supplies the prebuilt mapping-independent decode tables
+    and ``cache`` the per-mode result cache; each is resolved (and
+    memoised) per problem when omitted.
     """
-    if config.mode_cache:
-        # Function-level import: repro.eval imports synthesis.config, so
-        # a module-level import here would cycle when the entry point is
-        # ``import repro.eval``.
-        from repro.eval.pipeline import evaluate_mapping_incremental
+    # Function-level import: repro.eval imports synthesis.config, so a
+    # module-level import here would cycle when the entry point is
+    # ``import repro.eval``.
+    from repro.eval.pipeline import evaluate_mapping_incremental
 
-        return evaluate_mapping_incremental(
-            problem, mapping, config, context=context, cache=cache
-        )
-    if context is None and config.decode_cache:
-        context = context_for(problem)
-    technology = problem.technology
-
-    mode_mappings: Dict[str, Dict[str, str]] = {}
-    mobilities = {}
-    for mode in problem.omsm.modes:
-        # Mode-attributed timing: the per-mode buckets of each phase
-        # sum exactly to its aggregate (see repro.engine.profile).
-        with PROFILER.phase("mobility", mode=mode.name):
-            mode_mappings[mode.name] = mapping.mode_mapping(mode.name)
-            if context is not None:
-                mobilities[mode.name] = context.compute_mobilities(
-                    mode.name, mode_mappings[mode.name]
-                )
-            else:
-                mobilities[mode.name] = compute_mobilities(
-                    mode,
-                    lambda task, _mode=mode: technology.implementation(
-                        _mode.task_graph.task(task).task_type,
-                        mapping.pe_of(_mode.name, task),
-                    ).exec_time,
-                )
-
-    with PROFILER.phase("cores"):
-        cores = allocate_cores(
-            problem,
-            mapping,
-            mobilities,
-            context=context,
-            mode_mappings=mode_mappings,
-        )
-        area_violations = cores.area_violations()
-        transition_violations = cores.transition_violations()
-
-    schedules: Dict[str, ModeSchedule] = {}
-    timing_violations: Dict[str, Dict[str, float]] = {}
-    for mode in problem.omsm.modes:
-        with PROFILER.phase("schedule", mode=mode.name):
-            try:
-                if config.inner_loop_iterations > 0:
-                    from repro.scheduling.priority_search import (
-                        refine_schedule,
-                    )
-
-                    schedule = refine_schedule(
-                        problem,
-                        mode,
-                        mode_mappings[mode.name],
-                        cores,
-                        iterations=config.inner_loop_iterations,
-                    )
-                else:
-                    schedule = schedule_mode(
-                        problem,
-                        mode,
-                        mode_mappings[mode.name],
-                        cores,
-                        mobilities[mode.name],
-                        context=context,
-                    )
-            except SchedulingError:
-                return None
-        if config.dvs is not DvsMethod.NONE:
-            with PROFILER.phase("dvs", mode=mode.name):
-                if config.dvs is DvsMethod.GRADIENT:
-                    if config.decode_cache:
-                        schedule = scale_schedule(
-                            problem,
-                            mode,
-                            schedule,
-                            shared_rail=config.dvs_shared_rail,
-                            context=context,
-                            vector=config.vector_dvs,
-                            warm_start=config.dvs_warm_start,
-                        )
-                    else:
-                        schedule = reference_scale_schedule(
-                            problem,
-                            mode,
-                            schedule,
-                            shared_rail=config.dvs_shared_rail,
-                        )
-                elif config.decode_cache:
-                    schedule = uniform_scale_schedule(
-                        problem, mode, schedule, context=context
-                    )
-                else:
-                    schedule = reference_uniform_scale_schedule(
-                        problem, mode, schedule
-                    )
-        schedules[mode.name] = schedule
-        violations = schedule.timing_violations(
-            mode,
-            deadlines=(
-                context.modes[mode.name].deadlines
-                if context is not None
-                else None
-            ),
-        )
-        if violations:
-            timing_violations[mode.name] = violations
-
-    with PROFILER.phase("power"):
-        dynamic, static = power_breakdown(problem, schedules)
-        true_power = average_power(problem, schedules)
-        if config.use_probabilities:
-            optimised_power = true_power
-        else:
-            optimised_power = average_power(
-                problem,
-                schedules,
-                problem.omsm.uniform_probability_vector(),
-            )
-
-        weights = FitnessWeights(
-            area=config.area_weight,
-            transition=config.transition_weight,
-            timing=config.timing_weight,
-        )
-        fitness = mapping_fitness(
-            problem,
-            optimised_power,
-            timing_violations,
-            area_violations,
-            transition_violations,
-            weights,
-        )
-
-    metrics = ImplementationMetrics(
-        average_power=true_power,
-        dynamic_power=dynamic,
-        static_power=static,
-        timing_violation=timing_violations,
-        area_violation=area_violations,
-        transition_violation=transition_violations,
-        fitness=fitness,
-    )
-    return Implementation(
-        problem=problem,
-        mapping=mapping,
-        cores=cores,
-        schedules=schedules,
-        metrics=metrics,
+    return evaluate_mapping_incremental(
+        problem, mapping, config, context=context, cache=cache
     )

@@ -1,21 +1,17 @@
 """Differential fuzz oracle for the vectorised PV-DVS kernels.
 
-The array kernels (:mod:`repro.dvs._kernels`) must be *bit-identical*
-to both the frozen seed implementation
-(:mod:`repro.dvs._pv_dvs_reference`) and the legacy object-graph loop
-(``scale_schedule(vector=False)``) — every float of every task and
-comm, not approximately.  The corpus covers:
+Both voltage-selection methods of :mod:`repro.dvs.pv_dvs` (run by the
+array kernels of :mod:`repro.dvs._kernels`) must be *bit-identical* to
+the frozen seed implementation (:mod:`tests.oracles.pv_dvs`) — every
+float of every task and comm, not approximately.  The corpus covers:
 
 * random-mapping schedules over mul1 / mul3 / smartphone (software
-  DVS, shared-rail hardware segment chains, and both rail modes);
+  DVS, shared-rail hardware segment chains, and both rail modes), plus
+  the denser stress-mini instance for the uniform baseline;
 * replayed GA-style mutation chains — successive single/few-gene
   perturbations of one genome, the schedule distribution the engine
   actually feeds the kernels;
 * the synthetic micro problems of the dvs test fixtures.
-
-The analytical warm start is *not* identity-preserving by design; its
-contract — final energy never worse than the cold descent — is
-asserted over the same corpus.
 """
 
 import random
@@ -23,17 +19,41 @@ import random
 import pytest
 
 from repro.benchgen import registry
-from repro.dvs._pv_dvs_reference import reference_scale_schedule
-from repro.dvs.pv_dvs import scale_schedule
+from repro.benchgen.multimode import MultiModeSpec, generate_problem
+from repro.dvs.pv_dvs import scale_schedule, uniform_scale_schedule
 from repro.engine.decode_cache import context_for
-from repro.errors import VoltageScalingError
 from repro.mapping.cores import allocate_cores
 from repro.mapping.encoding import MappingString
 from repro.scheduling.list_scheduler import schedule_mode
 
 from tests.conftest import make_parallel_hw_problem, make_two_mode_problem
+from tests.oracles.pv_dvs import (
+    reference_scale_schedule,
+    reference_uniform_scale_schedule,
+)
 
 INSTANCES = ("mul1", "mul3", "smartphone")
+
+
+def _stress_mini():
+    """A denser-than-suite instance (the engine fuzz suites' stress tier)."""
+    return generate_problem(
+        MultiModeSpec(
+            name="stress-mini",
+            seed=777,
+            mode_tasks=(18, 22, 16),
+            pe_count=4,
+            cl_count=2,
+        )
+    )
+
+
+UNIFORM_INSTANCES = {
+    "mul1": lambda: registry.get("mul1"),
+    "mul3": lambda: registry.get("mul3"),
+    "smartphone": lambda: registry.get("smartphone"),
+    "stress-mini": _stress_mini,
+}
 
 
 def _schedules_for(problem, genome):
@@ -64,23 +84,13 @@ def _check_all_oracles(problem, mode, schedule, context, shared_rail):
     reference = reference_scale_schedule(
         problem, mode, schedule, shared_rail=shared_rail
     )
-    legacy = scale_schedule(
-        problem,
-        mode,
-        schedule,
-        shared_rail=shared_rail,
-        context=context,
-        vector=False,
-    )
     vector = scale_schedule(
         problem,
         mode,
         schedule,
         shared_rail=shared_rail,
         context=context,
-        vector=True,
     )
-    _assert_identical(reference, legacy, f"{mode.name}/legacy-vs-reference")
     _assert_identical(reference, vector, f"{mode.name}/vector-vs-reference")
 
 
@@ -97,6 +107,28 @@ def test_random_mapping_corpus_bit_identical(name, shared_rail):
             _check_all_oracles(
                 problem, mode, schedule, context, shared_rail
             )
+            checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("name", sorted(UNIFORM_INSTANCES))
+def test_uniform_random_mapping_corpus_bit_identical(name):
+    # The uniform-stretch baseline against the seed oracle: exact
+    # equality on every task and comm of the same random-mapping corpus.
+    problem = UNIFORM_INSTANCES[name]()
+    context = context_for(problem)
+    rng = random.Random(1234)
+    checked = 0
+    for _ in range(8):
+        genome = MappingString.random(problem, rng)
+        for mode, schedule in _schedules_for(problem, genome):
+            reference = reference_uniform_scale_schedule(
+                problem, mode, schedule
+            )
+            scaled = uniform_scale_schedule(
+                problem, mode, schedule, context=context
+            )
+            _assert_identical(reference, scaled, f"{mode.name}/uniform")
             checked += 1
     assert checked > 0
 
@@ -132,111 +164,10 @@ def test_micro_problems_bit_identical():
                     _check_all_oracles(
                         problem, mode, schedule, context, shared_rail
                     )
-
-
-@pytest.mark.parametrize("name", INSTANCES)
-def test_warm_start_never_worse_than_cold(name):
-    problem = registry.get(name)
-    context = context_for(problem)
-    rng = random.Random(4321)
-    checked = 0
-    for _ in range(8):
-        genome = MappingString.random(problem, rng)
-        for mode, schedule in _schedules_for(problem, genome):
-            cold = scale_schedule(
-                problem, mode, schedule, context=context, vector=True
-            )
-            warm = scale_schedule(
-                problem,
-                mode,
-                schedule,
-                context=context,
-                vector=True,
-                warm_start=True,
-            )
-            cold_energy = sum(task.energy for task in cold.tasks)
-            warm_energy = sum(task.energy for task in warm.tasks)
-            assert warm_energy <= cold_energy * (1.0 + 1e-12), mode.name
-            # Whenever the cold path is deadline-feasible (an already
-            # infeasible input passes through unscaled), the warm path
-            # must be feasible too.
-            if cold.is_timing_feasible(mode):
-                assert warm.is_timing_feasible(mode)
-            checked += 1
-    assert checked > 0
-
-
-def test_warm_start_counters_and_snap_histogram():
-    # Every warm-started call is accounted exactly once: either
-    # applied, or skipped with a reason label; each applied seed also
-    # records one snap-distance observation per lowered node.
-    from repro.obs.metrics import REGISTRY
-
-    problem = registry.get("mul1")
-    context = context_for(problem)
-    mode_names = [mode.name for mode in problem.omsm.modes]
-    reasons = ("no_scalable", "no_slack", "infeasible")
-
-    def totals():
-        applied = sum(
-            REGISTRY.counter_value("dvs_warm_start_applied_total", mode=m)
-            for m in mode_names
-        )
-        skipped = sum(
-            REGISTRY.counter_value(
-                "dvs_warm_start_skipped_total", mode=m, reason=r
-            )
-            for m in mode_names
-            for r in reasons
-        )
-        snaps = sum(
-            REGISTRY.histogram_data(
-                "dvs_warm_start_snap_levels", mode=m
-            ).count
-            for m in mode_names
-        )
-        return applied, skipped, snaps
-
-    before = totals()
-    rng = random.Random(2026)
-    calls = 0
-    for _ in range(6):
-        genome = MappingString.random(problem, rng)
-        for mode, schedule in _schedules_for(problem, genome):
-            scale_schedule(
-                problem,
-                mode,
-                schedule,
-                context=context,
-                vector=True,
-                warm_start=True,
-            )
-            calls += 1
-    applied, skipped, snaps = (
-        now - prior for now, prior in zip(totals(), before)
-    )
-    assert calls > 0
-    assert applied + skipped == calls
-    assert applied > 0
-    # One histogram observation per snapped node; applied runs snap at
-    # least one node each, and every drop is at least one level.
-    assert snaps >= applied
-    histogram = REGISTRY.histogram_data(
-        "dvs_warm_start_snap_levels", mode=mode_names[0]
-    )
-    if histogram.count:
-        assert histogram.minimum >= 1.0
-
-
-def test_warm_start_requires_vector_kernels():
-    problem = make_two_mode_problem(period=0.5)
-    genome = MappingString(problem, ["PE0"] * problem.genome_length())
-    cores = allocate_cores(problem, genome)
-    mode = problem.omsm.mode("O1")
-    schedule = schedule_mode(
-        problem, mode, genome.mode_mapping("O1"), cores
-    )
-    with pytest.raises(VoltageScalingError):
-        scale_schedule(
-            problem, mode, schedule, vector=False, warm_start=True
-        )
+                _assert_identical(
+                    reference_uniform_scale_schedule(problem, mode, schedule),
+                    uniform_scale_schedule(
+                        problem, mode, schedule, context=context
+                    ),
+                    f"{mode.name}/uniform",
+                )

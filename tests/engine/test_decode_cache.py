@@ -1,9 +1,10 @@
 """Decode-cache correctness: cached fast paths are bit-identical.
 
 The contract of :class:`~repro.engine.decode_cache.DecodeContext` is
-strict: evaluating any candidate with the context enabled must produce
-the *same floats* as the legacy recompute-per-candidate paths (which
-route through the reference DVS module).  These tests compare complete
+strict: evaluating any candidate through the production evaluator must
+produce the *same floats* as the seed's recompute-per-candidate oracle
+(:mod:`tests.oracles.evaluator`, which routes through the seed DVS
+module).  These tests compare complete
 implementations — fitness, power, violations and every scheduled
 start/end/energy — across random genomes and all DVS methods.
 """
@@ -19,6 +20,7 @@ from repro.synthesis.config import DvsMethod, SynthesisConfig
 from repro.synthesis.evaluator import evaluate_mapping
 
 from tests.conftest import make_two_mode_problem
+from tests.oracles.evaluator import evaluate_mapping as oracle_evaluate
 
 
 @pytest.fixture(scope="module")
@@ -65,14 +67,10 @@ class TestBitIdentical:
         for _ in range(8):
             genome = MappingString.random(tgff_problem, rng)
             fast = evaluate_mapping(
-                tgff_problem,
-                genome,
-                SynthesisConfig(dvs=dvs, decode_cache=True),
+                tgff_problem, genome, SynthesisConfig(dvs=dvs)
             )
-            slow = evaluate_mapping(
-                tgff_problem,
-                genome,
-                SynthesisConfig(dvs=dvs, decode_cache=False),
+            slow = oracle_evaluate(
+                tgff_problem, genome, SynthesisConfig(dvs=dvs)
             )
             assert (fast is None) == (slow is None)
             if fast is None:
@@ -96,17 +94,11 @@ class TestBitIdentical:
         rng = random.Random(5)
         genome = MappingString.random(tgff_problem, rng)
         for shared in (True, False):
-            config = dict(dvs=DvsMethod.GRADIENT, dvs_shared_rail=shared)
-            fast = evaluate_mapping(
-                tgff_problem,
-                genome,
-                SynthesisConfig(decode_cache=True, **config),
+            config = SynthesisConfig(
+                dvs=DvsMethod.GRADIENT, dvs_shared_rail=shared
             )
-            slow = evaluate_mapping(
-                tgff_problem,
-                genome,
-                SynthesisConfig(decode_cache=False, **config),
-            )
+            fast = evaluate_mapping(tgff_problem, genome, config)
+            slow = oracle_evaluate(tgff_problem, genome, config)
             assert (fast is None) == (slow is None)
             if fast is not None:
                 assert fast.metrics.fitness == slow.metrics.fitness

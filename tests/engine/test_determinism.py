@@ -15,6 +15,7 @@ from repro.synthesis.config import DvsMethod, SynthesisConfig
 from repro.synthesis.cosynthesis import MultiModeSynthesizer, synthesize
 
 from tests.conftest import make_two_mode_problem
+from tests.oracles.evaluator import substituted
 
 
 def _small_config(**overrides):
@@ -44,11 +45,12 @@ class TestParallelDeterminism:
         assert serial.generations == pooled.generations
 
     def test_decode_cache_off_still_identical(self):
+        # The production evaluator against the seed's recompute-per-
+        # candidate oracle, over a whole GA run.
         problem = make_two_mode_problem()
         fast = synthesize(problem, _small_config(jobs=1))
-        legacy = synthesize(
-            problem, _small_config(jobs=1, decode_cache=False)
-        )
+        with substituted():
+            legacy = synthesize(problem, _small_config(jobs=1))
         assert fast.history == legacy.history
         assert fast.best.metrics.fitness == legacy.best.metrics.fitness
 

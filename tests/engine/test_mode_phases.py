@@ -17,6 +17,7 @@ from repro.synthesis.config import DvsMethod, SynthesisConfig
 from repro.synthesis.cosynthesis import MultiModeSynthesizer
 
 from tests.conftest import make_two_mode_problem
+from tests.oracles.evaluator import substituted
 
 #: Phases always timed per mode (whichever of them actually run).
 #: ``dvs_vector`` nests inside ``dvs`` when the array kernels run.
@@ -112,15 +113,20 @@ def test_dvs_vector_phase_per_mode(jobs):
 
 
 def test_legacy_dvs_records_no_vector_phase():
+    # A run with the oracle evaluator substituted (the bench harness's
+    # legacy arm) must never reach the production DVS kernels.
     problem = make_two_mode_problem()
-    perf = _run(problem, 1, vector_dvs=False).perf
+    with substituted():
+        perf = _run(problem, 1).perf
     assert "dvs" in perf.phase_seconds
     assert "dvs_vector" not in perf.phase_seconds
 
 
 def test_mode_cache_disabled_records_no_cache_activity():
+    # ... nor touch the production mode-result cache.
     problem = make_two_mode_problem()
-    perf = _run(problem, 1, mode_cache=False).perf
+    with substituted():
+        perf = _run(problem, 1).perf
     assert perf.mode_cache_hits == 0
     assert perf.mode_cache_misses == 0
     assert perf.mode_cache_hit_rate == 0.0

@@ -175,7 +175,7 @@ class TestAsyncPool:
         from repro.eval.cache import mode_cache_for
 
         config = SynthesisConfig(jobs=2)
-        cache = mode_cache_for(problem, config)
+        cache = mode_cache_for(problem)
         assert len(cache) == 0
         genomes = _genomes(problem, 8, seed=9)
         with ParallelEvaluator(problem, config) as evaluator:

@@ -1,10 +1,11 @@
-"""Differential fuzz oracle: incremental pipeline vs monolithic path.
+"""Differential fuzz oracle: incremental pipeline vs the seed evaluator.
 
 For each benchmark instance, random mutation chains (gene mutation,
 two-point crossover between two lineages, targeted single-gene edits)
 drive the incremental pipeline through a warm, steadily churning
 mode-result cache — and every single candidate is re-evaluated through
-the fresh legacy path (``mode_cache=False``) and compared bit-for-bit:
+the seed's monolithic evaluator (:mod:`tests.oracles.evaluator`) and
+compared bit-for-bit:
 fitness, per-mode dynamic/static power, violation summaries, and the
 full task/communication schedules.  Any divergence — a stale cache
 entry, an imprecise core signature, a float reassociation — fails with
@@ -19,9 +20,12 @@ import pytest
 
 from repro.benchgen.smartphone import smartphone_problem
 from repro.benchgen.suite import suite_problem
+from repro.eval.cache import ModeResultCache
 from repro.mapping.encoding import MappingString
 from repro.synthesis.config import DvsMethod, SynthesisConfig
 from repro.synthesis.evaluator import evaluate_mapping
+
+from tests.oracles.evaluator import evaluate_mapping as oracle_evaluate
 
 #: (instance, chain steps, per-gene mutation rate) — ≥200 fuzzed
 #: candidates per instance, two tgff-style suite instances plus the
@@ -76,18 +80,17 @@ def _snapshot(implementation):
 def test_mutation_chain_bit_identical_to_legacy(name, steps, rate):
     problem = _problem(name)
     rng = random.Random(20030310)
-    incremental = SynthesisConfig(
-        dvs=DvsMethod.GRADIENT, mode_cache=True, mode_cache_size=512
-    )
-    legacy = incremental.with_updates(mode_cache=False)
+    config = SynthesisConfig(dvs=DvsMethod.GRADIENT)
+    # A small private cache keeps evictions churning through the chain.
+    cache = ModeResultCache(512)
 
     genome = MappingString.random(problem, rng)
     partner = MappingString.random(problem, rng)
     for step in range(steps):
         fast = _snapshot(
-            evaluate_mapping(problem, genome, incremental)
+            evaluate_mapping(problem, genome, config, cache=cache)
         )
-        oracle = _snapshot(evaluate_mapping(problem, genome, legacy))
+        oracle = _snapshot(oracle_evaluate(problem, genome, config))
         assert fast == oracle, (
             f"{name}: incremental result diverged from the legacy "
             f"oracle at chain step {step}"

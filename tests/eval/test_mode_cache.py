@@ -14,6 +14,7 @@ import pytest
 
 from repro.benchgen.suite import suite_problem
 from repro.eval.cache import (
+    MODE_CACHE_CAPACITY,
     ModeOutcome,
     ModePrep,
     ModeResultCache,
@@ -27,7 +28,7 @@ from repro.synthesis.evaluator import evaluate_mapping
 
 from tests.conftest import make_two_mode_problem
 
-FP = ("none", True, True, 0)
+FP = ("none", True, 0)
 
 
 def _prep(n: int = 1) -> ModePrep:
@@ -237,7 +238,6 @@ class TestConfigFingerprint:
         for changed in (
             base.with_updates(dvs=DvsMethod.GRADIENT),
             base.with_updates(dvs_shared_rail=False),
-            base.with_updates(decode_cache=False),
             base.with_updates(inner_loop_iterations=2),
         ):
             assert config_fingerprint(changed) != config_fingerprint(base)
@@ -246,22 +246,20 @@ class TestConfigFingerprint:
 class TestModeCacheFor:
     def test_memoised_per_problem(self):
         problem = make_two_mode_problem()
-        config = SynthesisConfig()
-        cache = mode_cache_for(problem, config)
-        assert mode_cache_for(problem, config) is cache
-        assert cache.capacity == config.mode_cache_size
+        cache = mode_cache_for(problem)
+        assert mode_cache_for(problem) is cache
+        assert cache.capacity == MODE_CACHE_CAPACITY
 
     def test_shared_across_probability_retargets(self):
         problem = make_two_mode_problem()
-        config = SynthesisConfig()
-        cache = mode_cache_for(problem, config)
+        cache = mode_cache_for(problem)
         names = problem.omsm.mode_names
         weights = {
             name: (0.9 if i == 0 else 0.1 / max(1, len(names) - 1))
             for i, name in enumerate(names)
         }
         retargeted = problem.with_probabilities(weights)
-        assert mode_cache_for(retargeted, config) is cache
+        assert mode_cache_for(retargeted) is cache
 
 
 class TestDirtyModeConsistency:
@@ -269,8 +267,8 @@ class TestDirtyModeConsistency:
 
     def test_clean_modes_hit_after_single_mode_edit(self):
         problem = suite_problem("mul1")
-        config = SynthesisConfig(mode_cache_size=256)
-        cache = ModeResultCache(config.mode_cache_size)
+        config = SynthesisConfig()
+        cache = ModeResultCache(256)
         rng = random.Random(11)
         genome = MappingString.random(problem, rng)
         evaluate_mapping(problem, genome, config, cache=cache)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SynthesisError
-from repro.synthesis.config import DvsMethod, SynthesisConfig
+from repro.synthesis.config import RETIRED_KEYS, DvsMethod, SynthesisConfig
 
 
 class TestDefaults:
@@ -71,11 +71,6 @@ class TestPoolFailureMode:
         with pytest.raises(SynthesisError, match="pool failure mode"):
             SynthesisConfig(pool_failure_mode="explode")
 
-    def test_mode_cache_size_must_be_positive(self):
-        with pytest.raises(SynthesisError, match="mode cache size"):
-            SynthesisConfig(mode_cache_size=0)
-        assert SynthesisConfig(mode_cache_size=1).mode_cache_size == 1
-
 
 class TestSerialisation:
     def test_round_trip(self):
@@ -99,38 +94,31 @@ class TestSerialisation:
         assert SynthesisConfig.from_dict(config.to_dict()) == config
 
     def test_mode_cache_fields_round_trip(self):
-        config = SynthesisConfig(mode_cache=False, mode_cache_size=64)
+        # Records written before the switches were removed still load:
+        # the retired keys are dropped, everything else is kept.
+        config = SynthesisConfig(population_size=24, seed=5)
         data = config.to_dict()
-        assert data["mode_cache"] is False
-        assert data["mode_cache_size"] == 64
-        restored = SynthesisConfig.from_dict(data)
-        assert restored == config
-        assert restored.mode_cache is False
-        assert restored.mode_cache_size == 64
+        data.update(decode_cache=False, mode_cache=False, mode_cache_size=64)
+        assert SynthesisConfig.from_dict(data) == config
 
     def test_mode_cache_defaults_serialised(self):
         data = SynthesisConfig().to_dict()
-        assert data["mode_cache"] is True
-        assert data["mode_cache_size"] == 4096
+        assert "decode_cache" not in data
+        assert "mode_cache" not in data
+        assert "mode_cache_size" not in data
 
     def test_vector_dvs_fields_round_trip(self):
-        config = SynthesisConfig(vector_dvs=False)
-        data = config.to_dict()
-        assert data["vector_dvs"] is False
-        assert data["dvs_warm_start"] is False
-        restored = SynthesisConfig.from_dict(data)
-        assert restored == config
-        assert restored.vector_dvs is False
-
-        warm = SynthesisConfig(vector_dvs=True, dvs_warm_start=True)
-        data = warm.to_dict()
-        assert data["dvs_warm_start"] is True
-        assert SynthesisConfig.from_dict(data) == warm
+        config = SynthesisConfig(dvs=DvsMethod.GRADIENT)
+        for vector, warm in ((False, False), (True, True), (False, True)):
+            data = config.to_dict()
+            data.update(vector_dvs=vector, dvs_warm_start=warm)
+            assert SynthesisConfig.from_dict(data) == config
 
     def test_vector_dvs_defaults_serialised(self):
         data = SynthesisConfig().to_dict()
-        assert data["vector_dvs"] is True
-        assert data["dvs_warm_start"] is False
+        assert "vector_dvs" not in data
+        assert "dvs_warm_start" not in data
+        assert set(data).isdisjoint(RETIRED_KEYS)
 
     def test_speculation_fields_round_trip(self):
         config = SynthesisConfig(speculative=False, speculation_depth=3)
@@ -155,20 +143,17 @@ class TestSerialisation:
         with pytest.raises(SynthesisError, match="speculation depth"):
             SynthesisConfig.from_dict(data)
 
-    def test_warm_start_requires_vector_dvs(self):
-        with pytest.raises(SynthesisError, match="vector_dvs"):
-            SynthesisConfig(vector_dvs=False, dvs_warm_start=True)
-        data = SynthesisConfig().to_dict()
-        data["vector_dvs"] = False
-        data["dvs_warm_start"] = True
-        with pytest.raises(SynthesisError, match="vector_dvs"):
-            SynthesisConfig.from_dict(data)
-
     def test_unknown_keys_rejected(self):
         data = SynthesisConfig().to_dict()
         data["poplation_size"] = 10  # typo must not pass silently
         with pytest.raises(SynthesisError, match="poplation_size"):
             SynthesisConfig.from_dict(data)
+
+    def test_retired_keys_are_not_config_arguments(self):
+        # Dropping happens on load only; the fields themselves are gone.
+        for key in sorted(RETIRED_KEYS):
+            with pytest.raises(TypeError):
+                SynthesisConfig(**{key: True})
 
     def test_from_dict_validates(self):
         data = SynthesisConfig().to_dict()

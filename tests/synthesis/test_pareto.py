@@ -7,6 +7,7 @@ per-mode result cache (which may change *when* a fitness is computed,
 never *what* it is or how ties resolve).
 """
 
+import contextlib
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from repro.synthesis.pareto import (
 )
 
 from tests.conftest import make_two_mode_problem
+from tests.oracles.evaluator import substituted
 
 TINY = SynthesisConfig(
     population_size=10, max_generations=10, convergence_generations=4
@@ -155,22 +157,26 @@ class TestTieBreakDeterminism:
     def test_jobs_and_cache_leave_ordering_unchanged(self, mode_cache):
         # A full run is a pure function of (problem, config-minus-jobs,
         # seed): the best genome and whole fitness history must match
-        # between serial and pooled evaluation, with the mode cache on
-        # or off.  Tie-breaks inside rank_population resolve by stable
-        # population order, which dispatch must not perturb.
+        # between serial and pooled evaluation, through the cached
+        # production evaluator or the uncached seed oracle.  Tie-breaks
+        # inside rank_population resolve by stable population order,
+        # which dispatch must not perturb.
         config = SynthesisConfig(
             population_size=12,
             max_generations=6,
             convergence_generations=10,
             seed=13,
-            mode_cache=mode_cache,
         )
-        serial = synthesize(
-            make_two_mode_problem(), config.with_updates(jobs=1)
+        evaluator = (
+            contextlib.nullcontext() if mode_cache else substituted()
         )
-        pooled = synthesize(
-            make_two_mode_problem(), config.with_updates(jobs=4)
-        )
+        with evaluator:
+            serial = synthesize(
+                make_two_mode_problem(), config.with_updates(jobs=1)
+            )
+            pooled = synthesize(
+                make_two_mode_problem(), config.with_updates(jobs=4)
+            )
         assert serial.history == pooled.history
         assert serial.best.mapping.genes == pooled.best.mapping.genes
         assert (
@@ -185,10 +191,8 @@ class TestTieBreakDeterminism:
             seed=13,
         )
         on = synthesize(make_two_mode_problem(), config)
-        off = synthesize(
-            make_two_mode_problem(),
-            config.with_updates(mode_cache=False),
-        )
+        with substituted():
+            off = synthesize(make_two_mode_problem(), config)
         assert on.history == off.history
         assert on.best.mapping.genes == off.best.mapping.genes
 

@@ -38,18 +38,13 @@ class TestParser:
         assert args.dvs == "gradient"
         assert not args.probabilities
         assert args.seed == 9
-        assert not args.no_mode_cache
 
     def test_no_mode_cache_flag(self):
-        from repro.cli import _config_from_args
-
-        args = build_parser().parse_args(
-            ["synthesize", "mul1", "--no-mode-cache"]
-        )
-        assert args.no_mode_cache
-        assert _config_from_args(args).mode_cache is False
-        default = build_parser().parse_args(["synthesize", "mul1"])
-        assert _config_from_args(default).mode_cache is True
+        # The evaluator has one path; the ablation flag is gone.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["synthesize", "mul1", "--no-mode-cache"]
+            )
 
     def test_async_pool_flag(self):
         from repro.cli import _config_from_args
@@ -63,22 +58,10 @@ class TestParser:
         assert _config_from_args(args).async_pool is False
 
     def test_vector_dvs_flags(self):
-        from repro.cli import _config_from_args
-
-        default = build_parser().parse_args(["synthesize", "mul1"])
-        config = _config_from_args(default)
-        assert config.vector_dvs is True
-        assert config.dvs_warm_start is False
-
-        args = build_parser().parse_args(
-            ["synthesize", "mul1", "--no-vector-dvs"]
-        )
-        assert _config_from_args(args).vector_dvs is False
-
-        args = build_parser().parse_args(
-            ["synthesize", "mul1", "--dvs-warm-start"]
-        )
-        assert _config_from_args(args).dvs_warm_start is True
+        # PV-DVS has one implementation; its ablation flags are gone.
+        for flag in ("--no-vector-dvs", "--dvs-warm-start"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["synthesize", "mul1", flag])
 
     def test_speculation_flags(self):
         from repro.cli import _config_from_args
