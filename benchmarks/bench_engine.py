@@ -1,6 +1,6 @@
-"""Evaluation-engine benchmark: seed oracle vs production serial vs pools.
+"""Evaluation-engine benchmark: seed oracle vs production serial vs pool.
 
-Runs the same GA synthesis (same seed, same sizing) under five engine
+Runs the same GA synthesis (same seed, same sizing) under three engine
 configurations and verifies they are *bit-identical* before reporting
 wall-clock speedups:
 
@@ -18,25 +18,17 @@ wall-clock speedups:
     (emptied before every timed run, so the measured advantage is
     purely intra-run) with the struct-of-arrays PV-DVS kernels.
 ``pool``
-    ``jobs=N, async_pool=False`` — the production path with each
-    generation's unique uncached genomes dispatched to the
-    per-generation *barrier* pool.
-``async``
-    ``vector`` plus ``jobs=N, async_pool=True`` — the work-stealing
-    asynchronous pool (:mod:`repro.engine.async_pool`): workers pull
-    single genomes from a shared task queue and publish their
-    mode-cache insertions to every other worker, so the parallel hit
-    rate tracks the serial one instead of degrading after fork.
-    Reported alongside its mean pool utilisation (busy time over the
-    dispatch-window capacity) and parallel mode-cache hit rate.
-``speculative``
-    ``async`` plus ``speculative=True`` — the async pool additionally
-    evaluates *predicted* next-generation genomes during the parent's
-    breeding window (:mod:`repro.synthesis.speculation`).  The earlier
-    pool arms pin ``speculative=False``, so the lift in pool
-    utilisation (and wall clock) over ``async`` is speculation's own
-    contribution.  On a single-core host the breeding window has no
-    idle worker to fill, so the lift gate auto-skips there.
+    ``jobs=N`` — the production pooled path: the measuring router of
+    :class:`~repro.engine.backend.PooledBackend` sends each
+    generation's unique uncached genomes to the barrier pool only
+    while the pool times faster than in-process evaluation.  As in a
+    campaign, the verdict stays memoised on the problem across
+    repeats: the first run pays for the probe (reported as
+    ``engine_parallel_first_seconds``) and later runs take the
+    committed route.  ``--check`` fails when this arm's best wall
+    clock exceeds :data:`MAX_POOL_OVER_SERIAL` times the ``vector``
+    arm's on any case: on a host where the pool cannot win, the
+    committed route must cost next to nothing.
 
 The *headline* cases run the gradient PV-DVS inner loop — the paper's
 proposed technique and by far the hottest decode phase; no-DVS cases
@@ -61,7 +53,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import pathlib
 import sys
 import time
@@ -87,6 +78,10 @@ from tests.oracles.evaluator import substituted  # noqa: E402
 
 #: The arm timed with the seed oracle evaluator substituted.
 LEGACY = "legacy"
+
+#: Largest allowed ratio of the ``pool`` arm's wall clock to the
+#: ``vector`` arm's, per case (the ``--check`` routing gate).
+MAX_POOL_OVER_SERIAL = 1.25
 
 
 #: Denser-than-suite instances for the pool arms: more queue depth and
@@ -157,19 +152,28 @@ def _timed_interleaved(
     min-of-N suppresses scheduler/load noise (every measurement above
     the minimum is the same work plus interference), and interleaving
     the configurations within each repeat keeps slow load drift from
-    skewing one configuration's timings relative to the others'.
-    Results are deterministic across repeats.
+    skewing one configuration's timings relative to the others'.  The
+    order rotates every repeat, so no configuration always runs in the
+    same position (measured: the run right after the slow ``legacy``
+    arm was up to 1.2x faster than an identical later one).  Results
+    are deterministic across repeats.  Also returns each config's first
+    wall clock.
     """
     times = {key: math.inf for key in configs}
+    first: Dict[str, float] = {}
     results = {}
-    for _ in range(max(1, repeats)):
-        for key, config in configs.items():
+    keys = list(configs)
+    for repeat in range(max(1, repeats)):
+        shift = repeat % len(keys)
+        for key in keys[shift:] + keys[:shift]:
+            config = configs[key]
             started = time.perf_counter()
             results[key] = _run_once(problem, config, key == LEGACY)
             elapsed = time.perf_counter() - started
+            first.setdefault(key, elapsed)
             if elapsed < times[key]:
                 times[key] = elapsed
-    return times, results
+    return times, first, results
 
 
 def run_case(
@@ -184,48 +188,33 @@ def run_case(
     problem = _load_problem(name)
     base = _base_config(dvs, seed, quick)
 
-    times, results = _timed_interleaved(
+    times, first, results = _timed_interleaved(
         problem,
         {
             LEGACY: base.with_updates(jobs=1),
             "vector": base.with_updates(jobs=1),
-            "pool": base.with_updates(
-                jobs=jobs, async_pool=False, speculative=False
-            ),
-            "async": base.with_updates(
-                jobs=jobs, async_pool=True, speculative=False
-            ),
-            "speculative": base.with_updates(
-                jobs=jobs, async_pool=True, speculative=True
-            ),
+            "pool": base.with_updates(jobs=jobs),
         },
         repeats,
     )
-    legacy_s, vector_s, pool_s, async_s, spec_s = (
+    legacy_s, vector_s, pool_s = (
         times[LEGACY],
         times["vector"],
         times["pool"],
-        times["async"],
-        times["speculative"],
     )
-    legacy, vectored, pooled, asynced, speculated = (
+    legacy, vectored, pooled = (
         results[LEGACY],
         results["vector"],
         results["pool"],
-        results["async"],
-        results["speculative"],
     )
 
-    arms = (vectored, pooled, asynced, speculated)
     identical = all(
         arm.best.metrics.fitness == legacy.best.metrics.fitness
         and arm.history == legacy.history
         and arm.evaluations == legacy.evaluations
-        for arm in arms
+        for arm in (vectored, pooled)
     )
     perf = pooled.perf
-    async_perf = asynced.perf
-    spec_perf = speculated.perf
     vector_perf = vectored.perf
     case: Dict[str, object] = {
         "name": name,
@@ -237,51 +226,15 @@ def run_case(
         "legacy_seconds": round(legacy_s, 4),
         "engine_vector_seconds": round(vector_s, 4),
         "engine_parallel_seconds": round(pool_s, 4),
+        "engine_parallel_first_seconds": round(first["pool"], 4),
         # The production serial path vs the seed oracle, both at jobs=1.
         "speedup_vector_vs_legacy": round(legacy_s / vector_s, 4),
         "speedup_parallel": round(legacy_s / pool_s, 4),
-        "engine_async_seconds": round(async_s, 4),
-        # Work-stealing async pool vs the jobs=1 vector arm — the
-        # engine-level contribution of this PR's pool refactor.
-        "speedup_async": round(vector_s / async_s, 4),
-        "speedup_async_vs_legacy": round(legacy_s / async_s, 4),
-        "async_pool_utilisation": (
-            round(async_perf.pool_utilisation, 4)
-            if async_perf is not None
-            else None
-        ),
-        "async_pool_steals": (
-            async_perf.pool_steals if async_perf is not None else None
-        ),
-        "async_mode_cache_hit_rate": (
-            round(async_perf.mode_cache_hit_rate, 4)
-            if async_perf is not None
-            else None
-        ),
-        "engine_speculative_seconds": round(spec_s, 4),
-        # Speculation's own contribution: the async pool with the
-        # breeding window filled by predicted evaluations vs the same
-        # pool idling through it.
-        "speedup_speculative": round(async_s / spec_s, 4),
-        "speedup_speculative_vs_legacy": round(legacy_s / spec_s, 4),
-        "speculative_pool_utilisation": (
-            round(spec_perf.pool_utilisation, 4)
-            if spec_perf is not None
-            else None
-        ),
-        "speculation_issued": (
-            spec_perf.speculation_issued if spec_perf is not None else None
-        ),
-        "speculation_hits": (
-            spec_perf.speculation_hits if spec_perf is not None else None
-        ),
-        "speculation_discards": (
-            spec_perf.speculation_discards if spec_perf is not None else None
-        ),
-        "speculation_hit_rate": (
-            round(spec_perf.speculation_hit_rate, 4)
-            if spec_perf is not None
-            else None
+        # The routed pool vs the jobs=1 vector arm: at most
+        # MAX_POOL_OVER_SERIAL where the pool cannot win.
+        "pool_over_serial": round(pool_s / vector_s, 4),
+        "dispatch_verdict": (
+            perf.dispatch_verdict if perf is not None else None
         ),
         "mode_cache_hit_rate": (
             round(vector_perf.mode_cache_hit_rate, 4)
@@ -295,12 +248,6 @@ def run_case(
             vector_perf.mode_cache_misses if vector_perf is not None else None
         ),
         "perf_parallel": perf.to_dict() if perf is not None else None,
-        "perf_async": (
-            async_perf.to_dict() if async_perf is not None else None
-        ),
-        "perf_speculative": (
-            spec_perf.to_dict() if spec_perf is not None else None
-        ),
     }
     return case
 
@@ -314,7 +261,7 @@ def _geomean(values: List[float]) -> Optional[float]:
 def build_report(args: argparse.Namespace) -> Dict[str, object]:
     repeats = args.repeats
     if repeats is None:
-        repeats = 1 if args.quick else 3
+        repeats = 5 if args.quick else 3
     if args.quick:
         cases_spec = [
             ("mul1", DvsMethod.GRADIENT, True),
@@ -349,16 +296,9 @@ def build_report(args: argparse.Namespace) -> Dict[str, object]:
             f"({case['speedup_vector_vs_legacy']:.2f}x, "
             f"hit rate {case['mode_cache_hit_rate']}), "
             f"engine+pool {case['engine_parallel_seconds']:.2f}s "
-            f"({case['speedup_parallel']:.2f}x), "
-            f"async {case['engine_async_seconds']:.2f}s "
-            f"({case['speedup_async']:.2f}x vs vector, "
-            f"utilisation {case['async_pool_utilisation']}, "
-            f"{case['async_pool_steals']} steals), "
-            f"speculative {case['engine_speculative_seconds']:.2f}s "
-            f"({case['speedup_speculative']:.2f}x vs async, "
-            f"utilisation {case['speculative_pool_utilisation']}, "
-            f"{case['speculation_hits']}/{case['speculation_issued']} "
-            f"hits), "
+            f"({case['speedup_parallel']:.2f}x, "
+            f"{case['pool_over_serial']:.2f}x the vector time, "
+            f"verdict {case['dispatch_verdict']}), "
             f"identical={case['identical']}",
             flush=True,
         )
@@ -369,61 +309,16 @@ def build_report(args: argparse.Namespace) -> Dict[str, object]:
     headline_vector = [
         c["speedup_vector_vs_legacy"] for c in cases if c["headline"]
     ]
-    headline_async = [c["speedup_async"] for c in cases if c["headline"]]
-    headline_speculative = [
-        c["speedup_speculative"] for c in cases if c["headline"]
-    ]
-    utilisations = [
-        c["async_pool_utilisation"]
-        for c in cases
-        if c["async_pool_utilisation"] is not None
-    ]
-    spec_utilisations = [
-        c["speculative_pool_utilisation"]
-        for c in cases
-        if c["speculative_pool_utilisation"] is not None
-    ]
-    spec_issued = sum(c["speculation_issued"] or 0 for c in cases)
-    spec_hits = sum(c["speculation_hits"] or 0 for c in cases)
-    hit_rate_deltas = [
-        abs(c["async_mode_cache_hit_rate"] - c["mode_cache_hit_rate"])
-        for c in cases
-        if c["async_mode_cache_hit_rate"] is not None
-        and c["mode_cache_hit_rate"] is not None
-    ]
     aggregate = {
         "headline_geomean_speedup_parallel": _geomean(headline_parallel),
         "headline_geomean_speedup_vector_vs_legacy": _geomean(
             headline_vector
         ),
-        "headline_geomean_speedup_async": _geomean(headline_async),
         "all_geomean_speedup_parallel": _geomean(
             [c["speedup_parallel"] for c in cases]
         ),
-        "all_geomean_speedup_async": _geomean(
-            [c["speedup_async"] for c in cases]
-        ),
-        "mean_async_pool_utilisation": (
-            sum(utilisations) / len(utilisations) if utilisations else None
-        ),
-        "headline_geomean_speedup_speculative": _geomean(
-            headline_speculative
-        ),
-        "mean_speculative_pool_utilisation": (
-            sum(spec_utilisations) / len(spec_utilisations)
-            if spec_utilisations
-            else None
-        ),
-        "speculation_issued": spec_issued,
-        "speculation_hits": spec_hits,
-        "speculation_hit_rate": (
-            spec_hits / spec_issued if spec_issued else None
-        ),
-        # Worst-case |async − serial| mode-cache hit-rate gap: the
-        # cross-worker publication protocol should keep the parallel
-        # hit rate tracking the serial one (≤ 0.05 in acceptance).
-        "max_async_mode_cache_hit_rate_delta": (
-            max(hit_rate_deltas) if hit_rate_deltas else None
+        "max_pool_over_serial": max(
+            c["pool_over_serial"] for c in cases
         ),
         "headline_mean_mode_cache_hit_rate": (
             sum(
@@ -454,33 +349,16 @@ def build_report(args: argparse.Namespace) -> Dict[str, object]:
     }
 
 
-def resolve_utilisation_floor(value: str, jobs: int) -> Optional[float]:
-    """Turn ``--min-async-utilisation`` into a numeric floor.
-
-    ``"auto"`` derives the floor from how much hardware parallelism the
-    host can actually give ``jobs`` workers: with at least one core per
-    worker the historical 0.85 floor applies unchanged; on smaller
-    hosts (CI containers are often single-core) the workers time-share
-    cores, the dispatch-window capacity ``window × jobs`` overstates
-    what the host can deliver by ``jobs / cpus``, and the floor scales
-    down accordingly — clamped to 0.25 so a pathological pool still
-    fails.  A numeric string is used as-is; ``"off"`` disables the
-    gate.
-    """
-    if value == "off":
-        return None
-    if value == "auto":
-        cpus = os.cpu_count() or 1
-        if cpus >= jobs:
-            return 0.85
-        return max(0.25, round(0.85 * cpus / jobs, 2))
-    return float(value)
-
-
 def check_regression(
     report: Dict[str, object], baseline_path: pathlib.Path
 ) -> int:
-    """Compare headline speedup against a committed baseline (>20 % fails)."""
+    """Gate identity, the headline speedup and the routing overhead.
+
+    Fails on any arm diverging from the oracle, on a >20 % drop of the
+    headline speedup against a committed baseline, and on any case
+    whose ``pool`` arm takes more than :data:`MAX_POOL_OVER_SERIAL`
+    times the ``vector`` arm's wall clock.
+    """
     with open(baseline_path) as handle:
         baseline = json.load(handle)
     key = "headline_geomean_speedup_parallel"
@@ -500,6 +378,17 @@ def check_regression(
             f"than 20% ({current:.3f}x < {floor:.3f}x)"
         )
         return 1
+    slow = [
+        f"{c['name']}/{c['dvs']} {c['pool_over_serial']:.2f}x"
+        for c in report["cases"]
+        if c["pool_over_serial"] > MAX_POOL_OVER_SERIAL
+    ]
+    if slow:
+        print(
+            f"[bench_engine] FAIL: pool arm slower than "
+            f"{MAX_POOL_OVER_SERIAL}x the vector arm: {', '.join(slow)}"
+        )
+        return 1
     print("[bench_engine] regression check passed")
     return 0
 
@@ -515,7 +404,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--jobs",
         type=int,
         default=4,
-        help="pool size for the engine+pool and async configurations",
+        help="worker count of the pool configuration",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
@@ -524,7 +413,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         help=(
             "wall-clock measurements per configuration, best-of-N "
-            "interleaved (default: 3 full, 1 quick)"
+            "interleaved (default: 3 full, 5 quick)"
         ),
     )
     parser.add_argument(
@@ -541,17 +430,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="BASELINE",
         default=None,
         help="baseline JSON to compare against; exits 1 on >20%% regression",
-    )
-    parser.add_argument(
-        "--min-async-utilisation",
-        default=None,
-        metavar="FRACTION",
-        help=(
-            "fail (exit 1) when the mean async pool utilisation falls "
-            "below this fraction; 'auto' derives the floor from "
-            "os.cpu_count() vs --jobs (used by 'make bench-smoke'), "
-            "'off' disables the gate"
-        ),
     )
     args = parser.parse_args(argv)
 
@@ -577,60 +455,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"{agg['headline_geomean_speedup_vector_vs_legacy']:.2f}x "
         f"(serial production path, mean hit rate "
         f"{agg['headline_mean_mode_cache_hit_rate']:.2f}), "
-        f"{agg['headline_geomean_speedup_async']:.2f}x "
-        f"(async pool vs vector, mean utilisation "
-        f"{agg['mean_async_pool_utilisation']}), "
-        f"{agg['headline_geomean_speedup_speculative']:.2f}x "
-        f"(speculative vs async, mean utilisation "
-        f"{agg['mean_speculative_pool_utilisation']}, hit rate "
-        f"{agg['speculation_hit_rate']}); "
-        f"report written to {out_path}"
+        f"pool at most {agg['max_pool_over_serial']:.2f}x the vector "
+        f"time; report written to {out_path}"
     )
 
     if not agg["all_identical"]:
         print("[bench_engine] FAIL: engine results diverged from legacy")
         return 1
-    if args.min_async_utilisation is not None:
-        floor = resolve_utilisation_floor(
-            args.min_async_utilisation, args.jobs
-        )
-        if floor is not None:
-            utilisation = agg["mean_async_pool_utilisation"]
-            if utilisation is None or utilisation < floor:
-                print(
-                    f"[bench_engine] FAIL: mean async pool utilisation "
-                    f"{utilisation} below floor {floor}"
-                )
-                return 1
-            print(
-                f"[bench_engine] async utilisation gate passed "
-                f"({utilisation:.3f} >= {floor})"
-            )
-            # Speculation fills the breeding window with predicted
-            # evaluations, so its pool utilisation must not fall below
-            # the non-speculative async arm's (small tolerance for
-            # timing noise).  Meaningless without a second core to do
-            # the filling — time-shared workers only displace the
-            # parent — so single-core hosts skip the gate.
-            if (os.cpu_count() or 1) > 1:
-                spec_util = agg["mean_speculative_pool_utilisation"]
-                async_util = agg["mean_async_pool_utilisation"]
-                if spec_util is None or spec_util < async_util - 0.02:
-                    print(
-                        f"[bench_engine] FAIL: speculative pool "
-                        f"utilisation {spec_util} below async "
-                        f"{async_util} - 0.02"
-                    )
-                    return 1
-                print(
-                    f"[bench_engine] speculation lift gate passed "
-                    f"({spec_util:.3f} vs async {async_util:.3f})"
-                )
-            else:
-                print(
-                    "[bench_engine] speculation lift gate skipped "
-                    "(single-core host)"
-                )
     if args.check is not None:
         return check_regression(report, pathlib.Path(args.check))
     return 0

@@ -9,9 +9,11 @@ result.  It provides three cooperating layers:
   tables) is computed once per process in a :class:`DecodeContext` and
   shared by all candidate evaluations.
 * :mod:`repro.engine.parallel` — a :class:`ParallelEvaluator` dispatches
-  each generation's unique, uncached genomes to a ``multiprocessing``
-  pool (falling back to in-process evaluation when ``jobs == 1`` or the
-  pool dies).  Results are bit-identical to serial evaluation.
+  each generation's unique, uncached genomes to a barrier
+  ``multiprocessing`` pool (falling back to in-process evaluation when
+  the pool dies); :mod:`repro.engine.backend` uses it under
+  ``jobs > 1`` only while it measures faster than in-process
+  evaluation.  Results are bit-identical to serial evaluation.
 * :mod:`repro.engine.profile` — lightweight per-phase timers and the
   :class:`PerfStats` summary exposed on ``SynthesisResult.perf``.
 """

@@ -12,14 +12,13 @@ change results: a batch evaluated on ``jobs=N`` workers is bit-identical
 to the same batch evaluated serially (the determinism tests pin this).
 When ``jobs == 1`` the evaluator runs in-process.
 
-Two pool strategies share this façade.  The default
-(``SynthesisConfig.async_pool``) is the work-stealing asynchronous pool
-of :mod:`repro.engine.async_pool`: workers pull single genomes from a
-shared task queue, results merge as they land, and mode-cache entries
-computed by one worker are published to all others.  Disabling it
-restores the original per-generation barrier pool (static chunks,
-``map_async``, diverging copy-on-write caches) as an ablation oracle —
-both strategies produce bit-identical records.
+The pool is a per-generation barrier: each batch is cut into static
+chunks, shipped with ``map_async``, and the dispatching process
+evaluates the last chunk itself while the workers run the rest.
+Forked workers inherit the parent's mode-result cache copy-on-write
+and keep their own copies from there on.  ``multiprocessing`` is
+imported only when a pool is actually created, so code that never
+forks one does not pay for the import.
 
 What a *failed* pool
 (worker crash, pickling surprise, platform without multiprocessing)
@@ -34,8 +33,6 @@ campaign runner) can retry the job on a fresh pool.
 from __future__ import annotations
 
 import math
-import multiprocessing
-import multiprocessing.pool
 import pickle
 import time
 import warnings
@@ -49,7 +46,6 @@ from typing import (
     Tuple,
 )
 
-from repro.engine.async_pool import AsyncWorkStealingPool
 from repro.engine.decode_cache import DecodeContext, context_for
 from repro.engine.profile import PROFILER, PhaseTotals
 from repro.engine.records import (
@@ -63,6 +59,8 @@ from repro.obs.metrics import REGISTRY, MetricsSnapshot
 from repro.problem import Problem
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    import multiprocessing.pool
+
     from repro.synthesis.config import SynthesisConfig
 
 # Worker-process globals, populated by _init_worker (spawn) or set in
@@ -180,39 +178,28 @@ class ParallelEvaluator:
             raise ValueError(
                 f"unknown pool failure mode {self.failure_mode!r}"
             )
-        self.async_pool = bool(getattr(config, "async_pool", True))
         self.batches = 0
         self.parallel_evaluations = 0
         self.pool_busy_seconds = 0.0
         #: Summed per-batch dispatch windows (work outstanding) — the
         #: capacity basis of the corrected pool utilisation.
         self.pool_dispatch_seconds = 0.0
-        self.pool_steals = 0
         self.pool_failures = 0
         #: In-process evaluations (tiny batches, post-fallback batches)
         #: and their wall-clock, booked apart from the pool busy window
         #: so they cannot inflate pool utilisation.
         self.inprocess_evaluations = 0
         self.inprocess_eval_seconds = 0.0
-        #: Speculative next-generation evaluation accounting, mirrored
-        #: from the async pool so the figures survive a pool retirement.
-        self.speculation_issued = 0
-        self.speculation_hits = 0
-        self.speculation_discards = 0
         self.last_pool_error: Optional[str] = None
         self.worker_phase_totals: Dict[str, Tuple[float, int]] = {}
         #: Workers actually placed in service (0 = never had a pool).
         self.pool_workers = 0
-        self._pool = None
-        self._async: Optional[AsyncWorkStealingPool] = None
+        self._pool: Optional[multiprocessing.pool.Pool] = None
         self._pool_started: Optional[float] = None
         self._pool_service_seconds = 0.0
         if self.jobs > 1:
-            if self.async_pool:
-                self._async = self._create_async_pool()
-            else:
-                self._pool = self._create_pool()
-            if self._pool is not None or self._async is not None:
+            self._pool = self._create_pool()
+            if self._pool is not None:
                 self.pool_workers = self.jobs
                 self._pool_started = time.perf_counter()
                 REGISTRY.set_gauge("engine_pool_workers", self.jobs)
@@ -260,6 +247,8 @@ class ParallelEvaluator:
     # ------------------------------------------------------------------
 
     def _create_pool(self) -> Optional[multiprocessing.pool.Pool]:
+        import multiprocessing
+
         try:
             if multiprocessing.get_start_method() == "fork":
                 # Forked workers share the parent's address space
@@ -299,26 +288,8 @@ class ParallelEvaluator:
             self._record_failure("creation", exc)
             return None
 
-    def _create_async_pool(self) -> Optional[AsyncWorkStealingPool]:
-        try:
-            return AsyncWorkStealingPool(
-                self.problem, self.config, self.jobs
-            )
-        except Exception as exc:  # pragma: no cover - platform-dependent
-            self._record_failure("creation", exc)
-            return None
-
     def close(self) -> None:
         """Shut the pool down gracefully (idempotent)."""
-        if self._async is not None:
-            # Outstanding speculation would otherwise finish unobserved
-            # inside the pool's join: drain it so its busy time, cache
-            # journals and discard counts are accounted first.
-            self.cancel_speculation()
-        if self._async is not None:
-            self._stop_service_clock()
-            self._async.close()
-            self._async = None
         if self._pool is not None:
             self._stop_service_clock()
             try:
@@ -336,10 +307,6 @@ class ParallelEvaluator:
         may already be dead, in which case ``close()``'s join would
         block forever waiting for worker sentinels.
         """
-        if self._async is not None:
-            self._stop_service_clock()
-            self._async.terminate()
-            self._async = None
         if self._pool is not None:
             self._stop_service_clock()
             try:  # pragma: no cover - teardown robustness
@@ -360,7 +327,7 @@ class ParallelEvaluator:
 
     @property
     def uses_pool(self) -> bool:
-        return self._pool is not None or self._async is not None
+        return self._pool is not None
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -375,16 +342,9 @@ class ParallelEvaluator:
         # pickling cost more than the evaluations.  Results are the
         # same either way, only the wall-clock differs.  The in-process
         # path books its time into the inprocess_* counters, never the
-        # pool busy window.  A batch partly covered by outstanding
-        # speculation always goes through the pool — the predicted
-        # results are already paid for there.
-        if self.uses_pool and (
-            len(genomes) >= self.jobs
-            or self._speculation_covers(genomes)
-        ):
+        # pool busy window.
+        if self.uses_pool and len(genomes) >= self.jobs:
             try:
-                if self._async is not None:
-                    return self._evaluate_async(genomes)
                 return self._evaluate_pooled(genomes)
             except Exception as exc:
                 # The pool died (worker crash, interpreter teardown,
@@ -392,9 +352,6 @@ class ParallelEvaluator:
                 # raise WorkerPoolError or fall back to serial
                 # evaluation for this and all future batches, per the
                 # configured failure mode.
-                if self._async is not None:
-                    self._async.terminate()
-                    self._async = None
                 if self._pool is not None:
                     try:  # pragma: no cover - defensive
                         self._pool.terminate()
@@ -411,80 +368,6 @@ class ParallelEvaluator:
         self.inprocess_eval_seconds += elapsed
         self.inprocess_evaluations += len(records)
         return records
-
-    def _evaluate_async(self, genomes: Sequence) -> List[EvalRecord]:
-        assert self._async is not None
-        batch = self._async.evaluate(
-            [genome.genes for genome in genomes],
-            self.worker_phase_totals,
-        )
-        self.pool_busy_seconds += batch.busy_seconds
-        self.pool_dispatch_seconds += batch.dispatch_seconds
-        self.pool_steals += batch.steals
-        self.speculation_hits = self._async.speculation_hits
-        self.parallel_evaluations += len(batch.records)
-        self.batches += 1
-        REGISTRY.inc("engine_pool_batches_total")
-        return batch.records
-
-    # ------------------------------------------------------------------
-    # Speculative evaluation (async pool only)
-    # ------------------------------------------------------------------
-
-    @property
-    def supports_speculation(self) -> bool:
-        """Whether predicted genomes can be dispatched ahead of time."""
-        return self._async is not None
-
-    def _speculation_covers(self, genomes: Sequence) -> bool:
-        if self._async is None:
-            return False
-        return self._async.speculation_covers_any(
-            [genome.genes for genome in genomes]
-        )
-
-    def speculate(self, genomes: Sequence) -> int:
-        """Dispatch predicted genomes to the async pool ahead of time.
-
-        Returns the number of speculative tasks issued (0 when no
-        async pool is live).  A dispatch failure retires the pool and
-        follows the configured failure mode, exactly like a batch
-        dispatch failure — subsequent batches fall back in-process.
-        """
-        if self._async is None or not genomes:
-            return 0
-        try:
-            issued = self._async.submit_speculative(
-                [genome.genes for genome in genomes]
-            )
-            self.speculation_issued = self._async.speculation_issued
-            return issued
-        except Exception as exc:
-            self._async.terminate()
-            self._async = None
-            self._record_failure("speculate", exc)
-            return 0
-
-    def cancel_speculation(self) -> None:
-        """Retire outstanding speculation, folding its accounting in.
-
-        Draining publishes the mispredictions' cache journals; their
-        busy and window time is charged to the pool like any batch.
-        """
-        if self._async is None:
-            return
-        try:
-            batch = self._async.cancel_speculation(
-                self.worker_phase_totals
-            )
-        except Exception as exc:  # pragma: no cover - defensive
-            self._async.terminate()
-            self._async = None
-            self._record_failure("speculate", exc)
-            return
-        self.pool_busy_seconds += batch.busy_seconds
-        self.pool_dispatch_seconds += batch.dispatch_seconds
-        self.speculation_discards = self._async.speculation_discards
 
     def _evaluate_pooled(self, genomes: Sequence) -> List[EvalRecord]:
         gene_tuples = [genome.genes for genome in genomes]

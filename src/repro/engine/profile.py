@@ -162,29 +162,25 @@ class PerfStats:
         :attr:`pool_utilisation`: a pool idling between generations
         (GA bookkeeping, cache-hot batches that never dispatch) no
         longer dilutes the figure.
-    pool_steals:
-        Tasks workers pulled beyond an even static split — per batch,
-        ``sum over workers of max(0, tasks_taken − ceil(total / N))``.
-        Zero under the barrier pool's static chunking; positive counts
-        are the work-stealing dynamic balancing paying off.
     pool_fallbacks:
         Pool failures that degraded the run to in-process evaluation.
     inprocess_evaluations / inprocess_eval_seconds:
-        Evaluations (and their wall-clock) run in-process by the
-        parallel evaluator — tiny batches below the dispatch threshold
-        and post-fallback batches.  Booked separately from
-        :attr:`pool_busy_seconds` so cache-hot late generations cannot
-        inflate :attr:`pool_utilisation`.
+        Evaluations (and their wall-clock) run in-process: every
+        batch of a serial run, and under ``jobs > 1`` the batches the
+        dispatch router kept in-process, tiny batches below the
+        dispatch threshold and post-fallback batches.  Booked
+        separately from :attr:`pool_busy_seconds` so cache-hot late
+        generations cannot inflate :attr:`pool_utilisation`.
     mode_cache_hits / mode_cache_misses / mode_cache_evictions:
         Per-mode stage-result cache activity of the incremental
         evaluation pipeline (:mod:`repro.eval`), summed over the main
         process and all pool workers via the run's metric delta.
-    speculation_issued / speculation_hits / speculation_discards:
-        Speculative next-generation evaluation activity on the async
-        pool: predicted genomes dispatched ahead of their batch, batch
-        slots served from the speculation buffer, and buffered
-        predictions abandoned at run end.  All zero when
-        ``SynthesisConfig.speculative`` is off or no async pool ran.
+    dispatch_verdict:
+        Where a ``jobs > 1`` run's batches ended up, as measured by
+        :class:`~repro.engine.backend.PooledBackend`: ``"pool"`` (the
+        pool measured clearly faster), ``"inprocess"`` (it did not —
+        and every serial run) or ``"unprobed"`` (the run ended before
+        enough batches were timed to decide).
     """
 
     phase_seconds: Dict[str, float] = field(default_factory=dict)
@@ -206,16 +202,13 @@ class PerfStats:
     pool_workers: int = 0
     pool_service_seconds: float = 0.0
     pool_dispatch_seconds: float = 0.0
-    pool_steals: int = 0
     pool_fallbacks: int = 0
     inprocess_evaluations: int = 0
     inprocess_eval_seconds: float = 0.0
     mode_cache_hits: int = 0
     mode_cache_misses: int = 0
     mode_cache_evictions: int = 0
-    speculation_issued: int = 0
-    speculation_hits: int = 0
-    speculation_discards: int = 0
+    dispatch_verdict: str = "inprocess"
 
     @property
     def evaluations_per_second(self) -> float:
@@ -238,19 +231,6 @@ class PerfStats:
         if looked_up == 0:
             return 0.0
         return self.mode_cache_hits / looked_up
-
-    @property
-    def speculation_hit_rate(self) -> float:
-        """Fraction of speculative dispatches a later batch confirmed.
-
-        Exact-replay prediction (``speculation_depth=1``) confirms
-        everything the run actually needed; unconfirmed leftovers at
-        run end (convergence struck, or deeper heuristic probes) are
-        the discard side of the ledger.
-        """
-        if self.speculation_issued == 0:
-            return 0.0
-        return self.speculation_hits / self.speculation_issued
 
     @property
     def pool_utilisation(self) -> float:
@@ -300,7 +280,6 @@ class PerfStats:
             "pool_workers": self.pool_workers,
             "pool_service_seconds": self.pool_service_seconds,
             "pool_dispatch_seconds": self.pool_dispatch_seconds,
-            "pool_steals": self.pool_steals,
             "pool_fallbacks": self.pool_fallbacks,
             "inprocess_evaluations": self.inprocess_evaluations,
             "inprocess_eval_seconds": self.inprocess_eval_seconds,
@@ -308,10 +287,7 @@ class PerfStats:
             "mode_cache_misses": self.mode_cache_misses,
             "mode_cache_evictions": self.mode_cache_evictions,
             "mode_cache_hit_rate": self.mode_cache_hit_rate,
-            "speculation_issued": self.speculation_issued,
-            "speculation_hits": self.speculation_hits,
-            "speculation_discards": self.speculation_discards,
-            "speculation_hit_rate": self.speculation_hit_rate,
+            "dispatch_verdict": self.dispatch_verdict,
         }
 
     def merge_phase_totals(

@@ -29,9 +29,8 @@ through explicit snapshot/delta/merge calls.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 #: Identity of one metric series: name + sorted ``(label, value)`` pairs.
 MetricKey = Tuple[str, Tuple[Tuple[str, str], ...]]
@@ -117,47 +116,23 @@ class MetricsRegistry:
         self._counters: Dict[MetricKey, float] = {}
         self._gauges: Dict[MetricKey, float] = {}
         self._histograms: Dict[MetricKey, HistogramData] = {}
-        self._paused = 0
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
 
-    @contextmanager
-    def paused(self) -> Iterator[None]:
-        """Suppress all recording inside the block (nestable).
-
-        For *replayed* work: the speculation predictor re-runs the
-        breeding stages to forecast the next generation, and those
-        stages meter themselves — without suppression every speculated
-        generation would double-count ``ga_*`` counters.  Reads,
-        snapshots and merges stay live; only ``inc`` / ``set_gauge`` /
-        ``observe`` become no-ops.
-        """
-        self._paused += 1
-        try:
-            yield
-        finally:
-            self._paused -= 1
-
     def inc(self, name: str, amount: float = 1.0, **labels: Any) -> float:
         """Increment a counter; returns its new value."""
         key = metric_key(name, labels)
-        if self._paused:
-            return self._counters.get(key, 0.0)
         value = self._counters.get(key, 0.0) + amount
         self._counters[key] = value
         return value
 
     def set_gauge(self, name: str, value: float, **labels: Any) -> None:
-        if self._paused:
-            return
         self._gauges[metric_key(name, labels)] = float(value)
 
     def observe(self, name: str, value: float, **labels: Any) -> None:
         """Record one histogram observation."""
-        if self._paused:
-            return
         key = metric_key(name, labels)
         data = self._histograms.get(key)
         if data is None:

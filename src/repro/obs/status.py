@@ -427,6 +427,12 @@ def format_pool_stats(summary: Dict[str, Any]) -> str:
         value = number(key)
         return f"{value:.1f}s" if value is not None else "n/a"
 
+    verdicts = perf.get("dispatch_verdicts")
+    verdicts_text = (
+        ", ".join(f"{verdict} {jobs}" for verdict, jobs in verdicts.items())
+        if isinstance(verdicts, dict) and verdicts
+        else "n/a"
+    )
     utilisation = number("pool_utilisation")
     utilisation_text = (
         f"{utilisation:.0%}" if utilisation is not None else "n/a"
@@ -440,14 +446,9 @@ def format_pool_stats(summary: Dict[str, Any]) -> str:
         (
             f"  pool work: {count('parallel_evaluations')} parallel "
             f"evaluations in {count('batches')} batches, "
-            f"{count('pool_steals')} steals, "
             f"{count('pool_fallbacks')} fallbacks"
         ),
-        (
-            f"  speculation: {count('speculation_issued')} issued, "
-            f"{count('speculation_hits')} hits, "
-            f"{count('speculation_discards')} discarded"
-        ),
+        f"  dispatch: {verdicts_text}",
         (
             f"  in-process: {count('inprocess_evaluations')} evaluations, "
             f"{seconds('inprocess_eval_seconds')}"

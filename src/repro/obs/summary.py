@@ -28,7 +28,8 @@ Schema (``version`` 1)::
                "mode_phase_seconds": {phase: {mode: float}},
                "evaluations": int, "cache_hits": int,
                "dedup_hits": int, "wall_time": float,
-               "pool_busy_seconds": float},
+               "pool_busy_seconds": float,
+               "dispatch_verdicts": {verdict: int}},  # jobs per verdict
       "metrics": {"counters": {...}, "gauges": {...},
                   "histograms": {...}},
     }
@@ -71,13 +72,9 @@ _PERF_SCALARS = (
     "pool_busy_seconds",
     "pool_service_seconds",
     "pool_dispatch_seconds",
-    "pool_steals",
     "pool_fallbacks",
     "inprocess_evaluations",
     "inprocess_eval_seconds",
-    "speculation_issued",
-    "speculation_hits",
-    "speculation_discards",
     "mode_cache_hits",
     "mode_cache_misses",
 )
@@ -95,7 +92,11 @@ def _aggregate_perf(
     phase_seconds: Dict[str, float] = {}
     phase_calls: Dict[str, int] = {}
     mode_phase_seconds: Dict[str, Dict[str, float]] = {}
+    verdicts: Dict[str, int] = {}
     for perf in perfs:
+        verdict = perf.get("dispatch_verdict")
+        if isinstance(verdict, str):
+            verdicts[verdict] = verdicts.get(verdict, 0) + 1
         for name in _PERF_SCALARS:
             totals[name] += perf.get(name, 0) or 0
         for phase, seconds in (perf.get("phase_seconds") or {}).items():
@@ -111,6 +112,9 @@ def _aggregate_perf(
     totals["phase_seconds"] = phase_seconds
     totals["phase_calls"] = phase_calls
     totals["mode_phase_seconds"] = mode_phase_seconds
+    # Records written before measured dispatch carry no verdict.
+    if verdicts:
+        totals["dispatch_verdicts"] = dict(sorted(verdicts.items()))
     # Derived pool figures, present only when some job actually had a
     # pool (readers render n/a otherwise — see format_pool_stats).
     workers = max(

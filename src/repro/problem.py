@@ -85,9 +85,10 @@ class Problem:
         genes) transfer between the two instances verbatim.
 
         Lazily-memoised decode state transfers too: the decode context,
-        genome layout, mode gene bounds and the per-mode result cache
-        are all Ψ-independent (probabilities only enter the final
-        Equation (1) weighting), so a re-targeted problem inherits them
+        genome layout, mode gene bounds, the per-mode result cache and
+        the pooled-dispatch verdicts are all Ψ-independent
+        (probabilities only enter the final Equation (1) weighting), so
+        a re-targeted problem inherits them
         instead of rebuilding — which is what makes the adaptive
         controller's warm-started re-synthesis warm in practice.
         """
@@ -101,6 +102,7 @@ class Problem:
             "_genome_layout",
             "_mode_bounds",
             "_mode_result_cache",
+            "_dispatch_verdicts",
         ):
             memoised = getattr(self, attr, None)
             if memoised is not None:

@@ -14,9 +14,11 @@ from repro.errors import SynthesisError
 #: exist.  :meth:`SynthesisConfig.from_dict` accepts and drops them so
 #: persisted files still load: ``decode_cache``, ``mode_cache`` and
 #: ``vector_dvs`` selected bit-identical implementations,
-#: ``mode_cache_size`` only bounded evictions, and the opt-in analytical
+#: ``mode_cache_size`` only bounded evictions, the opt-in analytical
 #: DVS warm start ended with the cold descent's energy on every
-#: measured corpus.
+#: measured corpus, and the last three switched the work-stealing pool
+#: and its look-ahead dispatch, which lost to the barrier pool and to
+#: serial evaluation on every measured host.
 RETIRED_KEYS = frozenset(
     {
         "decode_cache",
@@ -24,6 +26,9 @@ RETIRED_KEYS = frozenset(
         "mode_cache_size",
         "vector_dvs",
         "dvs_warm_start",
+        "async_pool",
+        "speculative",
+        "speculation_depth",
     }
 )
 
@@ -103,37 +108,11 @@ class SynthesisConfig:
         quality at a multiplicative inner-loop cost.
     jobs:
         Worker processes for population evaluation.  ``1`` (default)
-        evaluates in-process; ``N > 1`` dispatches each generation's
-        uncached genomes to a process pool.  Results are bit-identical
-        to serial evaluation for any job count.
-    async_pool:
-        Dispatch pool batches through the work-stealing asynchronous
-        evaluator (:mod:`repro.engine.async_pool`): workers pull
-        individual genomes from a shared task queue, results merge as
-        they land, and per-mode cache entries computed by one worker
-        are published to all others so their
-        :class:`~repro.eval.cache.ModeResultCache` copies stay
-        coherent instead of diverging after fork.  ``False`` restores
-        the per-generation barrier pool (static chunking, diverging
-        COW caches) as an ablation oracle; both produce bit-identical
-        results at any job count.  Only meaningful for ``jobs > 1``.
-    speculative:
-        Evaluate *predicted* next-generation genomes on the async pool
-        while the parent breeds the real ones
-        (:mod:`repro.synthesis.speculation`): the predictor replays the
-        breeding stages on a cloned RNG, so at depth 1 the prediction
-        is exact and every dispatched speculation is confirmed.
-        Results are bit-identical with speculation on or off —
-        ``False`` is the ablation oracle the differential fuzz pins —
-        and the flag is inert without an async pool (``jobs=1``,
-        ``async_pool=False``, or a pool that fell back).
-    speculation_depth:
-        How far ahead speculation reaches.  ``1`` (default) dispatches
-        only the exactly predicted next batch.  Deeper levels add
-        heuristic split-RNG mutations of the predicted population —
-        pool filler and mode-cache warmers whose journal entries
-        publish either way — at the cost of discarded work when the
-        probes never materialise.
+        evaluates in-process; ``N > 1`` lets each generation's uncached
+        genomes go to a process pool of ``N`` workers, for as long as
+        a measurement shows the pool beating in-process evaluation
+        (:class:`~repro.engine.backend.PooledBackend`).  Results are
+        bit-identical to serial evaluation for any job count.
     pool_failure_mode:
         What a dead/unusable worker pool does to the run.
         ``"fallback"`` (default) degrades to in-process evaluation and
@@ -176,9 +155,6 @@ class SynthesisConfig:
     inner_loop_iterations: int = 0
 
     jobs: int = 1
-    async_pool: bool = True
-    speculative: bool = True
-    speculation_depth: int = 1
     pool_failure_mode: str = "fallback"
 
     seed: int = 0
@@ -223,8 +199,6 @@ class SynthesisConfig:
             )
         if self.jobs < 1:
             raise SynthesisError("jobs must be at least 1")
-        if self.speculation_depth < 1:
-            raise SynthesisError("speculation depth must be at least 1")
         if self.pool_failure_mode not in ("fallback", "raise"):
             raise SynthesisError(
                 "pool failure mode must be 'fallback' or 'raise'"

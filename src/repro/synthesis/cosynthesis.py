@@ -9,10 +9,9 @@ terminate on any error or interrupt).  The GA itself — random initial
 population, per-candidate evaluation (mobilities → cores → per-mode
 scheduling → optional DVS → fitness), linear-scaling ranking,
 tournament selection, two-point crossover, offspring insertion with
-elitism, the four improvement mutations, speculation, and the
-local-search polish — lives in the stage modules
-(:mod:`repro.synthesis.operators`, :mod:`repro.synthesis.improvements`,
-:mod:`repro.synthesis.speculation`) composed by the driver.  The run
+elitism, the four improvement mutations and the local-search polish
+— lives in the stage modules (:mod:`repro.synthesis.operators`,
+:mod:`repro.synthesis.improvements`) composed by the driver.  The run
 terminates on convergence (no improvement of the best fitness for a
 configured number of generations) or at the generation limit.
 """
@@ -93,9 +92,10 @@ class MultiModeSynthesizer:
     ) -> SynthesisResult:
         """Execute the GA and return the best implementation found.
 
-        With ``config.jobs > 1`` a pooled backend (and its process
-        pool) lives for the duration of the run; evaluation results
-        are bit-identical to the serial path either way.
+        With ``config.jobs > 1`` a pooled backend lives for the
+        duration of the run and forks its process pool only while the
+        pool measures faster than in-process evaluation; evaluation
+        results are bit-identical to the serial path either way.
 
         ``resume`` continues a previous run from a
         :class:`~repro.synthesis.state.GAState` snapshot —

@@ -2,22 +2,13 @@
 
 This is the thin core that used to be the monolithic
 ``MultiModeSynthesizer._run``.  Each generation is an explicit stage
-sequence — evaluate → assess → (restart) → speculate → breed →
-improve — where every stage is a pure function from
+sequence — evaluate → assess → (restart) → breed → improve — where
+every stage is a pure function from
 :mod:`repro.synthesis.operators` / :mod:`repro.synthesis.improvements`
 and evaluation goes through a pluggable
 :class:`~repro.engine.backend.EvaluationBackend`.  The driver knows
 *what* to evaluate and in which order; it never knows where the
 evaluation runs.
-
-Speculation slots into the one place the loop structure allows it:
-once a generation's records have landed (and any restart has been
-re-evaluated), the next batch is fully determined by pure stages over
-known inputs — so the driver predicts it on a cloned RNG
-(:mod:`repro.synthesis.speculation`) and offers it to the backend
-*before* breeding for real.  By the time the next
-:meth:`evaluate_population` call submits the real batch, the async
-pool has been computing it for the whole breeding window.
 """
 
 from __future__ import annotations
@@ -37,7 +28,7 @@ from repro.mapping.encoding import MappingString
 from repro.mapping.implementation import Implementation
 from repro.obs.metrics import REGISTRY
 from repro.problem import Problem
-from repro.synthesis import improvements, operators, speculation
+from repro.synthesis import improvements, operators
 from repro.synthesis.config import SynthesisConfig
 from repro.synthesis.evaluator import evaluate_mapping
 from repro.synthesis.state import GAState
@@ -162,55 +153,10 @@ class GenerationDriver:
                 self.genome_cache[genome] = record
         return [self.genome_cache[genome] for genome in population]
 
-    # ------------------------------------------------------------------
-    # Speculation
-    # ------------------------------------------------------------------
-
-    def _speculate_next(
-        self,
-        backend: EvaluationBackend,
-        generation: int,
-        mutation_rate: float,
-        population: Sequence[MappingString],
-        records: Sequence[EvalRecord],
-        rng: random.Random,
-        area_stall: int,
-        timing_stall: int,
-        transition_stall: int,
-        best_genome: MappingString,
-    ) -> None:
-        """Predict the next batch and offer it to the backend early."""
-        with PROFILER.phase("speculate"):
-            predicted = speculation.predict_next_batch(
-                self.config,
-                mutation_rate,
-                population,
-                records,
-                rng.getstate(),
-                area_stall,
-                timing_stall,
-                transition_stall,
-                best_genome,
-            )
-            # The batch the next evaluate_population() will actually
-            # submit: deduplicated, minus everything already cached.
-            batch = [
-                g
-                for g in dict.fromkeys(predicted)
-                if g not in self.genome_cache
-            ]
-            if self.config.speculation_depth > 1:
-                batch.extend(
-                    speculation.heuristic_probes(
-                        self.config,
-                        mutation_rate,
-                        predicted,
-                        generation,
-                        self.genome_cache,
-                    )
-                )
-            if batch:
-                backend.speculate(batch)
+    # The benchmark's span tracer (perfbench/tracer.py) wraps this by
+    # name and is its only caller; it goes with the tracer's next change.
+    def _speculate_next(self, *args: object) -> None:
+        """No-op kept for the benchmark's span tracer."""
 
     # ------------------------------------------------------------------
     # The optimisation loop
@@ -284,8 +230,6 @@ class GenerationDriver:
             generation = 0
             start_generation = 1
 
-        speculative = bool(config.speculative)
-
         for generation in range(
             start_generation, config.max_generations + 1
         ):
@@ -323,32 +267,6 @@ class GenerationDriver:
                     problem, population, records, rng
                 )
                 records = self.evaluate_population(population, backend)
-
-            # --- speculate ---------------------------------------------
-            # From here to the next evaluate_population() call, every
-            # stage is a pure function of (population, records, rng) —
-            # so the next batch is predictable *now*, and the backend
-            # can be computing it while the parent breeds it for real.
-            # The last generation's offspring are never evaluated, so
-            # there is nothing to predict there.
-            if (
-                speculative
-                and best_genome is not None
-                and generation < config.max_generations
-                and backend.supports_speculation
-            ):
-                self._speculate_next(
-                    backend,
-                    generation,
-                    mutation_rate,
-                    population,
-                    records,
-                    rng,
-                    area_stall,
-                    timing_stall,
-                    transition_stall,
-                    best_genome,
-                )
 
             # --- breed -------------------------------------------------
             population = operators.breed_next(
@@ -405,11 +323,6 @@ class GenerationDriver:
                         evaluations=self.evaluations,
                     )
                 )
-
-        # Anything still speculated (convergence struck, or deep probes
-        # that never materialised) is abandoned before the serial
-        # polish; draining it settles the accounting.
-        backend.cancel_speculation()
 
         if best_genome is None:
             raise SynthesisError(

@@ -4,10 +4,7 @@ Like :mod:`repro.synthesis.operators`, everything here is a pure
 function over explicit inputs (population, evaluation records, stall
 counters, an RNG): the paper's four improvement strategies, the
 partial-restart diversity mechanism, and the post-convergence
-first-improvement local search.  The driver composes them; the
-speculation layer replays :func:`update_stalls` and
-:func:`apply_improvements` on a cloned RNG to predict the next
-generation exactly.
+first-improvement local search.  The driver composes them.
 
 The local-search helpers take an ``evaluate`` callable instead of
 touching any evaluator directly — the driver passes its cached

@@ -6,10 +6,6 @@ explicit stages — evaluate → rank → select → breed → improve →
 functions*: every output is fully determined by the inputs, including
 the :class:`random.Random` instance, and no global state is touched
 beyond the metrics registry meters inside :mod:`repro.synthesis.ga`.
-That purity is what makes speculative next-generation evaluation
-possible at all: :mod:`repro.synthesis.speculation` replays these exact
-functions on a cloned RNG to predict the next population without
-consuming a single draw from the live stream.
 """
 
 from __future__ import annotations

@@ -22,10 +22,8 @@ from tests.oracles.evaluator import substituted
 #: Phases always timed per mode (whichever of them actually run).
 #: ``dvs_vector`` nests inside ``dvs`` when the array kernels run.
 PER_MODE_PHASES = {"mobility", "schedule", "dvs", "dvs_vector", "cache_hit"}
-#: Phases timed once per candidate (or per prediction pass, for
-#: ``speculate`` — which wraps whole evaluations on the worker side and
-#: the replay on the parent side), landing in the shared bucket.
-SHARED_PHASES = {"cores", "power", "speculate"}
+#: Phases timed once per candidate, landing in the shared bucket.
+SHARED_PHASES = {"cores", "power"}
 
 
 @pytest.fixture(scope="module")

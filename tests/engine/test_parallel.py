@@ -52,7 +52,7 @@ class TestSerialPath:
 
 class TestPooledPath:
     def test_barrier_pool_matches_serial_records(self, problem):
-        config = SynthesisConfig(jobs=2, async_pool=False)
+        config = SynthesisConfig(jobs=2)
         genomes = _genomes(problem, 10)
         with ParallelEvaluator(problem, config) as evaluator:
             if not evaluator.uses_pool:  # pragma: no cover - platform
@@ -64,13 +64,11 @@ class TestPooledPath:
             assert 0 < evaluator.parallel_evaluations < len(genomes)
             assert evaluator.pool_busy_seconds > 0.0
             assert evaluator.pool_dispatch_seconds > 0.0
-            # Static chunking never steals.
-            assert evaluator.pool_steals == 0
             assert evaluator.worker_phase_totals
         assert records == _serial_records(problem, config, genomes)
 
     def test_order_preserved_across_chunks(self, problem):
-        config = SynthesisConfig(jobs=2, async_pool=False)
+        config = SynthesisConfig(jobs=2)
         genomes = _genomes(problem, 9, seed=4)
         with ParallelEvaluator(problem, config) as evaluator:
             if not evaluator.uses_pool:  # pragma: no cover - platform
@@ -82,7 +80,7 @@ class TestPooledPath:
         ]
 
     def test_dead_pool_falls_back_to_serial(self, problem):
-        config = SynthesisConfig(jobs=2, async_pool=False)
+        config = SynthesisConfig(jobs=2)
         genomes = _genomes(problem, 4)
         evaluator = ParallelEvaluator(problem, config)
         try:
@@ -109,9 +107,7 @@ class TestPooledPath:
     def test_dead_pool_raises_in_raise_mode(self, problem):
         from repro.errors import WorkerPoolError
 
-        config = SynthesisConfig(
-            jobs=2, async_pool=False, pool_failure_mode="raise"
-        )
+        config = SynthesisConfig(jobs=2, pool_failure_mode="raise")
         genomes = _genomes(problem, 4)
         evaluator = ParallelEvaluator(problem, config)
         try:
@@ -131,81 +127,6 @@ class TestPooledPath:
         evaluator.close()
         evaluator.close()
         assert not evaluator.uses_pool
-
-
-class TestAsyncPool:
-    """The work-stealing strategy behind ``async_pool=True`` (default)."""
-
-    def test_async_is_the_default_strategy(self, problem):
-        with ParallelEvaluator(problem, SynthesisConfig(jobs=2)) as ev:
-            if not ev.uses_pool:  # pragma: no cover - platform
-                pytest.skip("process pool unavailable on this platform")
-            assert ev._async is not None
-            assert ev._pool is None
-
-    def test_async_matches_serial_records(self, problem):
-        config = SynthesisConfig(jobs=2)
-        genomes = _genomes(problem, 10, seed=7)
-        with ParallelEvaluator(problem, config) as evaluator:
-            if not evaluator.uses_pool:  # pragma: no cover - platform
-                pytest.skip("process pool unavailable on this platform")
-            records = evaluator.evaluate_batch(genomes)
-            assert evaluator.batches == 1
-            # Work stealing sends *every* genome through the queue;
-            # there is no parent-local chunk.
-            assert evaluator.parallel_evaluations == len(genomes)
-            assert evaluator.pool_busy_seconds > 0.0
-            assert evaluator.pool_dispatch_seconds > 0.0
-            assert evaluator.worker_phase_totals
-        serial_config = SynthesisConfig(jobs=1)
-        assert records == _serial_records(problem, serial_config, genomes)
-
-    def test_async_and_barrier_records_identical(self, problem):
-        genomes = _genomes(problem, 11, seed=8)
-        results = {}
-        for flag in (True, False):
-            config = SynthesisConfig(jobs=2, async_pool=flag)
-            with ParallelEvaluator(problem, config) as evaluator:
-                if not evaluator.uses_pool:  # pragma: no cover
-                    pytest.skip("process pool unavailable")
-                results[flag] = evaluator.evaluate_batch(genomes)
-        assert results[True] == results[False]
-
-    def test_async_publishes_cache_entries_to_parent(self, problem):
-        from repro.eval.cache import mode_cache_for
-
-        config = SynthesisConfig(jobs=2)
-        cache = mode_cache_for(problem)
-        assert len(cache) == 0
-        genomes = _genomes(problem, 8, seed=9)
-        with ParallelEvaluator(problem, config) as evaluator:
-            if not evaluator.uses_pool:  # pragma: no cover - platform
-                pytest.skip("process pool unavailable on this platform")
-            evaluator.evaluate_batch(genomes)
-        # Worker-computed entries were applied to the master cache
-        # without being metered as local lookups.
-        assert len(cache) > 0
-        assert cache.hits == 0 and cache.misses == 0
-
-    def test_dead_async_pool_falls_back_to_serial(self, problem):
-        config = SynthesisConfig(jobs=2)
-        genomes = _genomes(problem, 4)
-        evaluator = ParallelEvaluator(problem, config)
-        try:
-            if not evaluator.uses_pool:  # pragma: no cover - platform
-                pytest.skip("process pool unavailable on this platform")
-            evaluator._async._pool.terminate()
-            evaluator._async._pool.join()
-            with pytest.warns(RuntimeWarning, match="in-process"):
-                records = evaluator.evaluate_batch(genomes)
-            assert not evaluator.uses_pool
-            assert evaluator.pool_failures == 1
-            serial_config = SynthesisConfig(jobs=1)
-            assert records == _serial_records(
-                problem, serial_config, genomes
-            )
-        finally:
-            evaluator.close()
 
 
 class TestInProcessAccounting:

@@ -1,17 +1,18 @@
-"""Differential fuzz: async work-stealing pool vs barrier pool vs serial.
+"""Differential fuzz: the barrier pool vs serial evaluation.
 
-Acceptance coverage for the async evaluator: randomised GA chains on
-suite, smartphone and stress instances must produce *exactly* equal
-results under the work-stealing pool, the barrier pool and serial
-evaluation — fitness, history, best genome, evaluation counts, the
-Pareto sweep, and the per-mode phase-bucket invariant (buckets sum to
-the aggregates) — and a checkpointed run must resume bit-identically
-with ``async_pool=True``.
+Randomised GA chains on suite, smartphone and stress instances must
+produce *exactly* equal results with ``jobs=1`` and with ``jobs=2`` —
+fitness, history, best genome, evaluation counts, the Pareto sweep, and
+the per-mode phase-bucket invariant (buckets sum to the aggregates) —
+and a checkpointed run must resume bit-identically.
+
+The pooled arm has its dispatch verdict forced to ``pool``, so every
+batch of at least two genomes goes through the barrier pool even on
+hosts where the measuring router would keep them in-process.
 
 The configs are drawn once per instance from a seeded RNG and shared
-verbatim across the three evaluation arms (only ``jobs`` /
-``async_pool`` differ), so any divergence is the pool's fault, never
-the sampler's.
+verbatim across the arms (only ``jobs`` differs), so any divergence is
+the pool's fault, never the sampler's.
 """
 
 import json
@@ -22,6 +23,8 @@ import pytest
 from repro.benchgen.multimode import MultiModeSpec, generate_problem
 from repro.benchgen.smartphone import smartphone_problem
 from repro.benchgen.suite import suite_problem
+from repro.engine import backend as backend_module
+from repro.engine.backend import POOL, dispatch_verdicts
 from repro.synthesis.config import DvsMethod, SynthesisConfig
 from repro.synthesis.cosynthesis import MultiModeSynthesizer
 from repro.synthesis.pareto import area_power_tradeoff
@@ -58,7 +61,7 @@ CORPUS = [
 
 
 def _draw_config(name: str, dvs: DvsMethod) -> SynthesisConfig:
-    rng = random.Random(f"async-fuzz:{name}")
+    rng = random.Random(f"pool-fuzz:{name}")
     return SynthesisConfig(
         dvs=dvs,
         seed=rng.randrange(10_000),
@@ -69,6 +72,12 @@ def _draw_config(name: str, dvs: DvsMethod) -> SynthesisConfig:
         group_mutation_rate=rng.choice([0.1, 0.3]),
         shutdown_mutation_rate=rng.choice([0.0, 0.02]),
     )
+
+
+def _forced_pool(problem, jobs=2):
+    """``problem`` with its dispatch verdict for ``jobs`` set to pool."""
+    dispatch_verdicts(problem)[jobs] = POOL
+    return problem
 
 
 def _assert_bucket_invariant(perf) -> None:
@@ -86,58 +95,53 @@ def _assert_bucket_invariant(perf) -> None:
 @pytest.mark.parametrize(
     "name,loader,dvs", CORPUS, ids=[entry[0] for entry in CORPUS]
 )
-def test_async_barrier_serial_chains_identical(name, loader, dvs):
+def test_forced_pool_and_serial_chains_identical(name, loader, dvs):
     base = _draw_config(name, dvs)
-    arms = {
-        "serial": base.with_updates(jobs=1),
-        "async": base.with_updates(jobs=2, async_pool=True),
-        "barrier": base.with_updates(jobs=2, async_pool=False),
-    }
-    results = {}
-    for arm, config in arms.items():
-        # A fresh problem per arm: no shared decode context or warm
-        # mode cache can paper over a divergence between strategies.
-        results[arm] = MultiModeSynthesizer(loader(), config).run()
-    serial = results["serial"]
-    for arm in ("async", "barrier"):
-        result = results[arm]
-        assert result.history == serial.history, arm
-        assert (
-            result.best.metrics.fitness == serial.best.metrics.fitness
-        ), arm
-        assert (
-            result.best.mapping.genes == serial.best.mapping.genes
-        ), arm
-        assert result.evaluations == serial.evaluations, arm
-        assert result.generations == serial.generations, arm
-        assert result.average_power == serial.average_power, arm
-    for arm, result in results.items():
-        _assert_bucket_invariant(result.perf)
+    # A fresh problem per arm: no shared decode context or warm mode
+    # cache can paper over a divergence between the two.
+    serial = MultiModeSynthesizer(loader(), base.with_updates(jobs=1)).run()
+    pooled = MultiModeSynthesizer(
+        _forced_pool(loader()), base.with_updates(jobs=2)
+    ).run()
+    assert pooled.perf.dispatch_verdict == POOL
+    assert pooled.perf.parallel_evaluations > 0
+    assert pooled.history == serial.history
+    assert pooled.best.metrics.fitness == serial.best.metrics.fitness
+    assert pooled.best.mapping.genes == serial.best.mapping.genes
+    assert pooled.evaluations == serial.evaluations
+    assert pooled.generations == serial.generations
+    assert pooled.average_power == serial.average_power
+    _assert_bucket_invariant(serial.perf)
+    _assert_bucket_invariant(pooled.perf)
 
 
-def test_async_and_barrier_pareto_sets_identical():
+def test_forced_pool_pareto_sets_identical(monkeypatch):
+    # The sweep builds its own scaled problems, so the verdict is forced
+    # where the router looks it up.
+    monkeypatch.setattr(
+        backend_module, "dispatch_verdicts", lambda problem: {2: POOL}
+    )
     config = SynthesisConfig(
         population_size=10,
         max_generations=3,
         convergence_generations=10,
         local_search_budget_factor=0.0,
         seed=13,
-        jobs=2,
     )
-    points = {}
-    for flag in (True, False):
-        points[flag] = area_power_tradeoff(
+    points = {
+        jobs: area_power_tradeoff(
             suite_problem("mul1"),
             scales=(0.75, 1.25),
-            config=config.with_updates(async_pool=flag),
+            config=config.with_updates(jobs=jobs),
             runs=1,
             base_seed=3,
         )
-    assert points[True] == points[False]
+        for jobs in (1, 2)
+    }
+    assert points[1] == points[2]
 
 
-def test_kill_resume_bit_identical_with_async_pool():
-    problem = suite_problem("mul1")
+def test_kill_resume_bit_identical_with_forced_pool():
     config = SynthesisConfig(
         population_size=10,
         max_generations=6,
@@ -145,19 +149,22 @@ def test_kill_resume_bit_identical_with_async_pool():
         local_search_budget_factor=0.0,
         seed=31,
         jobs=2,
-        async_pool=True,
     )
     snapshots = []
-    reference = MultiModeSynthesizer(problem, config).run(
-        on_generation=snapshots.append
-    )
+    reference = MultiModeSynthesizer(
+        _forced_pool(suite_problem("mul1")), config
+    ).run(on_generation=snapshots.append)
+    assert reference.perf.parallel_evaluations > 0
     assert snapshots, "run emitted no generation snapshots"
     # Serialise through JSON exactly like the checkpoint store: this is
     # the state a killed campaign job restarts from.
     state = GAState.from_dict(
         json.loads(json.dumps(snapshots[len(snapshots) // 2].to_dict()))
     )
-    resumed = MultiModeSynthesizer(problem, config).run(resume=state)
+    resumed = MultiModeSynthesizer(
+        _forced_pool(suite_problem("mul1")), config
+    ).run(resume=state)
+    assert resumed.perf.parallel_evaluations > 0
     assert resumed.history == reference.history
     assert resumed.best.mapping.genes == reference.best.mapping.genes
     assert resumed.average_power == reference.average_power

@@ -275,20 +275,17 @@ class TestPoolStats:
                 "pool_busy_seconds": 36.4,
                 "parallel_evaluations": 4000,
                 "batches": 58,
-                "pool_steals": 120,
                 "pool_fallbacks": 0,
-                "speculation_issued": 900,
-                "speculation_hits": 840,
-                "speculation_discards": 60,
                 "inprocess_evaluations": 12,
                 "inprocess_eval_seconds": 0.4,
+                "dispatch_verdicts": {"inprocess": 3, "pool": 1},
             }
         }
         text = format_pool_stats(summary)
         assert "workers 4" in text
         assert "utilisation 91%" in text
-        assert "120 steals" in text
-        assert "900 issued, 840 hits, 60 discarded" in text
+        assert "4000 parallel evaluations in 58 batches, 0 fallbacks" in text
+        assert "dispatch: inprocess 3, pool 1" in text
         assert "12 evaluations" in text
         assert "n/a" not in text
 
@@ -310,4 +307,4 @@ class TestPoolStats:
         text = format_pool_stats({})
         assert "utilisation n/a" in text
         assert "workers n/a" in text
-        assert "steals" in text
+        assert "dispatch: n/a" in text

@@ -121,27 +121,35 @@ class TestSerialisation:
         assert set(data).isdisjoint(RETIRED_KEYS)
 
     def test_speculation_fields_round_trip(self):
-        config = SynthesisConfig(speculative=False, speculation_depth=3)
-        data = config.to_dict()
-        assert data["speculative"] is False
-        assert data["speculation_depth"] == 3
-        restored = SynthesisConfig.from_dict(data)
-        assert restored == config
-        assert restored.speculative is False
-        assert restored.speculation_depth == 3
+        # The pool-strategy switches are retired: records that carry
+        # them load, the keys are dropped, everything else is kept.
+        config = SynthesisConfig(jobs=2, seed=4)
+        for async_pool, speculative, depth in (
+            (True, True, 1),
+            (False, False, 3),
+        ):
+            data = config.to_dict()
+            data.update(
+                async_pool=async_pool,
+                speculative=speculative,
+                speculation_depth=depth,
+            )
+            assert SynthesisConfig.from_dict(data) == config
 
     def test_speculation_defaults_serialised(self):
         data = SynthesisConfig().to_dict()
-        assert data["speculative"] is True
-        assert data["speculation_depth"] == 1
+        for key in ("async_pool", "speculative", "speculation_depth"):
+            assert key not in data
+            assert key in RETIRED_KEYS
 
     def test_speculation_depth_validated(self):
-        with pytest.raises(SynthesisError, match="speculation depth"):
+        # No longer a field: a stored value is not validated, only
+        # dropped, and the constructor rejects it outright.
+        with pytest.raises(TypeError):
             SynthesisConfig(speculation_depth=0)
         data = SynthesisConfig().to_dict()
         data["speculation_depth"] = -2
-        with pytest.raises(SynthesisError, match="speculation depth"):
-            SynthesisConfig.from_dict(data)
+        assert SynthesisConfig.from_dict(data) == SynthesisConfig()
 
     def test_unknown_keys_rejected(self):
         data = SynthesisConfig().to_dict()

@@ -47,15 +47,12 @@ class TestParser:
             )
 
     def test_async_pool_flag(self):
-        from repro.cli import _config_from_args
-
-        default = build_parser().parse_args(["synthesize", "mul1"])
-        assert _config_from_args(default).async_pool is True
-        args = build_parser().parse_args(
-            ["synthesize", "mul1", "--no-async-pool"]
-        )
-        assert args.no_async_pool
-        assert _config_from_args(args).async_pool is False
+        # One pooled path, chosen by measurement; the ablation flag is
+        # gone.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["synthesize", "mul1", "--no-async-pool"]
+            )
 
     def test_vector_dvs_flags(self):
         # PV-DVS has one implementation; its ablation flags are gone.
@@ -64,23 +61,13 @@ class TestParser:
                 build_parser().parse_args(["synthesize", "mul1", flag])
 
     def test_speculation_flags(self):
-        from repro.cli import _config_from_args
-
-        default = build_parser().parse_args(["synthesize", "mul1"])
-        config = _config_from_args(default)
-        assert config.speculative is True
-        assert config.speculation_depth == 1
-
-        args = build_parser().parse_args(
-            ["synthesize", "mul1", "--no-speculation"]
-        )
-        assert args.no_speculation
-        assert _config_from_args(args).speculative is False
-
-        args = build_parser().parse_args(
-            ["synthesize", "mul1", "--speculation-depth", "2"]
-        )
-        assert _config_from_args(args).speculation_depth == 2
+        # Look-ahead dispatch is gone with its flags.
+        for argv in (
+            ["--no-speculation"],
+            ["--speculation-depth", "2"],
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["synthesize", "mul1", *argv])
 
     def test_command_required(self):
         with pytest.raises(SystemExit):
